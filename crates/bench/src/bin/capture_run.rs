@@ -1,23 +1,25 @@
-//! Captures memory traces for a sweep into the persistent trace cache.
+//! Runs the Fig. 12 or full-network sweep against a cache root.
 //!
-//! Runs the Fig. 12 or full-network sweep with the trace cache enabled, so
-//! every cold cell leaves a `.ztrc` file behind; subsequent `replay_run`
-//! invocations (or warm sweeps) replay those files instead of
-//! re-simulating. With `--refresh` existing traces are discarded first.
+//! The root (`--traces DIR`) holds each sweep's completion journal. Every
+//! cell the journal already records — same cell, same machine config,
+//! same executable — is restored without executing; the rest execute and
+//! are journalled. A rerun over a warm root therefore executes nothing
+//! and writes a byte-identical `--json` report, and a killed run simply
+//! continues where it stopped. `--refresh` ignores the journal and
+//! recomputes every cell.
 //!
-//! Cells run under the supervised runtime: completed cells are journalled
-//! under the cache root, so a killed run can be continued with `--resume`
-//! and still produce the identical `--json` report; cells that keep
-//! panicking (or exceed `--deadline-ms`) are quarantined, reported, and
-//! reflected in the exit code (3 = completed with quarantined cells).
+//! Cells run under the supervised runtime: cells that keep panicking (or
+//! exceed `--deadline-ms`) are quarantined, reported, and reflected in
+//! the exit code (3 = completed with quarantined cells).
 //!
 //! With `--fabric-dir` the sweep joins the crash-safe multi-process lease
 //! fabric: cells are claimed via lease files, heartbeated, reclaimed from
 //! dead workers, and committed through fenced per-worker journals, so any
 //! number of `capture_run` processes (or `--workers N` spawned siblings)
 //! cooperate on one sweep and the merged report stays byte-identical to a
-//! single-worker run. A drained worker (SIGINT/SIGTERM) exits with code 4
-//! and can be resumed by pointing any worker at the same fabric directory.
+//! single-worker run. Without `--resume` the fabric directory is cleared
+//! first. A drained worker (SIGINT/SIGTERM) exits with code 4 and can be
+//! resumed by pointing any worker at the same fabric directory.
 //!
 //! ```text
 //! capture_run <fig12|fullnet> [--scale N] [--traces DIR] [--threads N]
@@ -35,26 +37,12 @@ use zcomp_bench::{
 };
 use zcomp_dnn::deepbench::all_configs;
 
-/// Sums the cache directory's trace files; errors just mean "unknown".
-fn cache_contents(dir: &str) -> Option<(usize, u64)> {
-    let mut files = 0;
-    let mut bytes = 0;
-    for entry in std::fs::read_dir(dir).ok()? {
-        let entry = entry.ok()?;
-        if entry.path().extension().is_some_and(|e| e == "ztrc") {
-            files += 1;
-            bytes += entry.metadata().ok()?.len();
-        }
-    }
-    Some((files, bytes))
-}
-
 fn main() {
     let args = SweepArgs::from_env();
     print_machine();
     let opts = args.sweep_opts();
     println!(
-        "capturing {} (scale {}, {} threads) into {}{}{}",
+        "running {} (scale {}, {} threads) against {}{}{}",
         args.experiment,
         args.scale,
         opts.threads,
@@ -116,14 +104,7 @@ fn main() {
         }
     };
     reap_fabric_workers(siblings);
-    let secs = t0.elapsed().as_secs_f64();
-    match cache_contents(&args.traces) {
-        Some((files, bytes)) => println!(
-            "captured {cells} cells in {secs:.2}s; cache holds {files} traces ({:.1} MiB)",
-            bytes as f64 / (1024.0 * 1024.0)
-        ),
-        None => println!("captured {cells} cells in {secs:.2}s"),
-    }
+    println!("ran {cells} cells in {:.2}s", t0.elapsed().as_secs_f64());
     let code = report_supervision(&supervision);
     if code != 0 {
         std::process::exit(code);

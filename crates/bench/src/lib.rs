@@ -18,8 +18,7 @@
 use zcomp::fabric::FabricOpts;
 use zcomp::report::Table;
 use zcomp::supervise::SuperviseOpts;
-use zcomp::sweep::{SupervisionReport, SweepError, SweepOpts};
-use zcomp_replay::CacheMode;
+use zcomp::sweep::{CacheMode, SupervisionReport, SweepError, SweepOpts};
 use zcomp_sim::config::SimConfig;
 
 /// A malformed command line: which argument, and what was wrong with it.
@@ -64,7 +63,10 @@ fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, CliError
 /// The shared supervised-run and fabric flags, parsed once here instead
 /// of copy-pasted per binary:
 ///
-/// * `--resume` — skip cells the journal records as complete;
+/// * `--resume` — keep the fabric directory instead of clearing it (the
+///   Fig. 12 and full-network sweeps restore journalled cells whenever a
+///   cache root is set; other sweeps start from the journal only with
+///   this flag);
 /// * `--attempts <N>` — attempts per cell before quarantine;
 /// * `--deadline-ms <N>` — per-cell watchdog deadline (0 = none);
 /// * `--fabric-dir <path>` — join the multi-process lease fabric there;
@@ -73,7 +75,8 @@ fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> Result<T, CliError
 /// * `--workers <N>` — spawn N-1 sibling worker processes of this binary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunFlags {
-    /// Skip cells the journal records as complete.
+    /// Keep the fabric directory (and, for sweeps that do not reuse
+    /// their journal by default, start from it).
     pub resume: bool,
     /// Attempts per cell before quarantine.
     pub attempts: u32,
@@ -335,24 +338,19 @@ impl SupervisedFigArgs {
     }
 }
 
-/// Parsed command-line options of the trace capture/replay binaries
-/// (`capture_run`, `replay_run`).
+/// Parsed command-line options of `capture_run`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepArgs {
     /// Which sweep: `fig12` or `fullnet`.
     pub experiment: String,
     /// Workload scale divisor (fig12: tensor sizes, fullnet: batches).
     pub scale: usize,
-    /// Trace-cache directory.
+    /// Cache root holding the sweep's completion journal.
     pub traces: String,
     /// Worker threads; 0 = one per core.
     pub threads: usize,
-    /// Ignore cached traces and re-capture everything.
+    /// Ignore the journal and recompute every cell.
     pub refresh: bool,
-    /// Replay, then verify against an in-process run (replay_run only).
-    pub verify: bool,
-    /// Benchmark cold/warm/parallel and write JSON here (replay_run only).
-    pub bench: Option<String>,
     /// Write the sweep's scientific result as JSON here.
     pub json: Option<String>,
     /// The shared supervised-run / fabric flags.
@@ -370,8 +368,6 @@ impl SweepArgs {
             traces: "results/traces".to_string(),
             threads: 0,
             refresh: false,
-            verify: false,
-            bench: None,
             json: None,
             run: RunFlags::default(),
             quiet: false,
@@ -394,8 +390,6 @@ impl SweepArgs {
                     out.threads = parse_num("--threads", &value_of(&mut it, "--threads")?)?;
                 }
                 "--refresh" => out.refresh = true,
-                "--verify" => out.verify = true,
-                "--bench" => out.bench = Some(value_of(&mut it, "--bench")?),
                 "--json" => out.json = Some(value_of(&mut it, "--json")?),
                 "--quiet" => out.quiet = true,
                 other if out.experiment.is_empty() && !other.starts_with('-') => {
@@ -409,8 +403,7 @@ impl SweepArgs {
                 other => {
                     return Err(CliError::new(format!(
                         "unknown argument: {other} (expected fig12|fullnet, \
-                         --quick/--scale/--traces/--threads/--refresh/--verify/--bench/\
-                         --json/--quiet, {})",
+                         --quick/--scale/--traces/--threads/--refresh/--json/--quiet, {})",
                         RunFlags::USAGE
                     )))
                 }
@@ -445,7 +438,7 @@ impl SweepArgs {
     }
 
     /// The full sweep options these arguments describe: cache root and
-    /// mode, thread count, and the shared run flags (resume, supervision
+    /// journal policy, thread count, and the shared run flags (resume, supervision
     /// policy, fabric membership).
     pub fn sweep_opts(&self) -> SweepOpts {
         self.run.apply(
@@ -530,9 +523,9 @@ pub fn sweep_error_exit(e: &SweepError) -> ! {
 /// siblings: for a fresh (non-`--resume`) run the fabric directory is
 /// cleared first so stale leases and journals cannot leak in, then
 /// `N - 1` copies of this binary are re-invoked with the same arguments
-/// minus the caller-only flags (`--workers`, `--json`, `--bench`,
-/// `--worker-id`) plus a derived `--worker-id`, `--resume` (the
-/// directory is already reset) and `--quiet`. Returns the children for
+/// minus the caller-only flags (`--workers`, `--json`, `--worker-id`)
+/// plus a derived `--worker-id`, `--resume` (the directory is already
+/// reset) and `--quiet`. Returns the children for
 /// [`reap_fabric_workers`]; empty without `--fabric-dir`.
 pub fn spawn_fabric_workers(run: &RunFlags) -> Vec<std::process::Child> {
     let Some(dir) = &run.fabric_dir else {
@@ -586,7 +579,7 @@ fn sibling_args() -> Vec<String> {
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--workers" | "--json" | "--bench" | "--worker-id" => {
+            "--workers" | "--json" | "--worker-id" => {
                 let _ = it.next();
             }
             "--resume" | "--quiet" => {}
@@ -686,7 +679,7 @@ mod tests {
         assert_eq!(a.traces, "results/traces");
         assert_eq!(a.threads, 0);
         assert!(a.effective_threads() >= 1);
-        assert!(!a.refresh && !a.verify && a.bench.is_none() && !a.quiet);
+        assert!(!a.refresh && !a.quiet);
         assert!(a.json.is_none());
         assert_eq!(a.run, RunFlags::default());
         assert!(a.run.fabric_opts().is_none());
@@ -704,9 +697,6 @@ mod tests {
                 "--threads",
                 "4",
                 "--refresh",
-                "--verify",
-                "--bench",
-                "B.json",
                 "--json",
                 "R.json",
                 "--resume",
@@ -732,8 +722,7 @@ mod tests {
         assert_eq!(a.scale, 8);
         assert_eq!(a.traces, "/tmp/t");
         assert_eq!(a.effective_threads(), 4);
-        assert!(a.refresh && a.verify && a.quiet && a.run.resume);
-        assert_eq!(a.bench.as_deref(), Some("B.json"));
+        assert!(a.refresh && a.quiet && a.run.resume);
         assert_eq!(a.json.as_deref(), Some("R.json"));
         assert_eq!(a.run.attempts, 3);
         assert_eq!(a.run.deadline_ms, Some(1500));

@@ -382,7 +382,7 @@ pub fn run_config_supervised(
     // cell key names the integrity policy: cells journalled by the
     // strong campaign can never be resumed into the weak one even when
     // both share a fabric directory or cache root.
-    let fingerprint = campaign_fingerprint(cfg);
+    let fingerprint = opts.fingerprint(campaign_fingerprint(cfg));
     let key_of = |idx: usize| {
         let (site, rate) = pairs[idx];
         format!(
@@ -438,7 +438,7 @@ pub fn run_config_supervised(
 /// fingerprint that keeps differently-configured campaigns apart.
 fn campaign_fingerprint(cfg: &CampaignConfig) -> u32 {
     let text = serde_json::to_string(cfg).expect("campaign config serializes");
-    zcomp_isa::integrity::crc32(text.as_bytes())
+    zcomp_trace::hash::crc32(text.as_bytes())
 }
 
 fn machine() -> Machine {

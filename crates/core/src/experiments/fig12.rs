@@ -11,18 +11,15 @@ use serde::{Deserialize, Serialize};
 use zcomp_dnn::deepbench::{all_configs, DeepBenchConfig};
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::nnz::nnz_synthetic;
-use zcomp_kernels::relu::{run_relu, run_relu_with_path, ExecPath, ReluOpts, ReluScheme};
-use zcomp_replay::{
-    config_fingerprint, replay, CacheMode, TraceCache, TraceError, TraceKey, TraceMeta,
-};
+use zcomp_kernels::relu::{run_relu_with_path, ExecPath, ReluOpts, ReluRunResult, ReluScheme};
+use zcomp_replay::config_fingerprint;
 use zcomp_sim::config::SimConfig;
 use zcomp_sim::engine::Machine;
 use zcomp_sim::stats::PrefetchStats;
-use zcomp_trace::log_warn;
 
 use crate::report::{fmt_bytes, mean, pct, Table};
 use crate::supervise::{CellFailure, CellOutcome};
-use crate::sweep::{run_cells, SweepError, SweepOpts, SweepOutcome};
+use crate::sweep::{run_cells, CacheMode, SweepError, SweepOpts, SweepOutcome};
 
 /// The three schemes in plotting order.
 pub const SCHEMES: [ReluScheme; 3] = [
@@ -257,8 +254,8 @@ pub fn run_configs_with_path(
     let mut rows = Vec::with_capacity(configs.len());
     let mut zcomp_prefetch = PrefetchStats::default();
     for (i, config) in configs.iter().enumerate() {
-        let elements = (config.elements / scale_divisor.max(1)).max(256);
-        let nnz = nnz_synthetic(elements, sparsity, 6.0, 0xF16_5EED ^ ((i as u64) << 8));
+        let elements = cell_elements(config, scale_divisor);
+        let nnz = nnz_synthetic(elements, sparsity, 6.0, cell_seed(i));
         let mut cells = Vec::with_capacity(SCHEMES.len());
         for scheme in SCHEMES {
             let _cell_span = zcomp_trace::tracer::span_owned("experiment", || {
@@ -269,9 +266,6 @@ pub fn run_configs_with_path(
             if scheme == ReluScheme::Zcomp {
                 zcomp_prefetch.merge(&machine.summary().l2_prefetch);
             }
-            // Traffic and cycles over the measured (steady-state) window
-            // only — the warm-up iteration's compulsory misses are the
-            // caches' problem, as in DeepBench itself.
             #[cfg(feature = "trace")]
             {
                 registry.incr("fig12.cells", 1);
@@ -279,13 +273,7 @@ pub fn run_configs_with_path(
                 registry.observe("fig12.dram_bytes", result.traffic.dram_bytes as f64);
                 registry.gauge("fig12.compression_ratio", result.compression_ratio());
             }
-            cells.push(Fig12Cell {
-                scheme,
-                onchip_bytes: result.traffic.onchip_bytes(),
-                dram_bytes: result.traffic.dram_bytes,
-                cycles: result.total_cycles(),
-                compression_ratio: result.compression_ratio(),
-            });
+            cells.push(Fig12Cell::measured(scheme, &result));
         }
         rows.push(Fig12Row {
             config: config.clone(),
@@ -302,27 +290,34 @@ pub fn run_configs_with_path(
     }
 }
 
-/// The trailer note persisted with every fig12 cell trace: the byte
-/// counts the replay driver cannot recover from the op stream alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct CellNote {
-    output_bytes: u64,
-    uncompressed_bytes: u64,
-}
-
-impl CellNote {
-    fn compression_ratio(&self) -> f64 {
-        if self.output_bytes == 0 {
-            1.0
-        } else {
-            self.uncompressed_bytes as f64 / self.output_bytes as f64
+impl Fig12Cell {
+    /// The cell of a finished kernel run: traffic and cycles over the
+    /// measured (steady-state) window only — the warm-up iteration's
+    /// compulsory misses are the caches' problem, as in DeepBench itself.
+    fn measured(scheme: ReluScheme, result: &ReluRunResult) -> Fig12Cell {
+        Fig12Cell {
+            scheme,
+            onchip_bytes: result.traffic.onchip_bytes(),
+            dram_bytes: result.traffic.dram_bytes,
+            cycles: result.total_cycles(),
+            compression_ratio: result.compression_ratio(),
         }
     }
 }
 
+/// Elements configuration `config` simulates at `scale_divisor`.
+fn cell_elements(config: &DeepBenchConfig, scale_divisor: usize) -> usize {
+    (config.elements / scale_divisor.max(1)).max(256)
+}
+
+/// The input seed of the configuration at `index` in a run.
+fn cell_seed(index: usize) -> u64 {
+    0xF16_5EED ^ ((index as u64) << 8)
+}
+
 /// What one supervised fig12 cell produces — the measured cell plus the
 /// prefetch counters the result aggregates. Serialized whole into the
-/// resume journal, so a restored cell is indistinguishable from an
+/// completion journal, so a restored cell is indistinguishable from an
 /// executed one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Fig12CellRecord {
@@ -330,140 +325,80 @@ struct Fig12CellRecord {
     prefetch: PrefetchStats,
 }
 
-/// The cache/journal key of one (config, scheme) cell. Everything that
-/// determines the cell's op stream is folded in, so a key hit is safe to
-/// replay and a journal hit is safe to restore.
+/// The journal key of one (config, scheme) cell. Everything that
+/// determines the cell's result is folded in, so a journal hit is safe to
+/// restore.
 fn cell_key(
     config: &DeepBenchConfig,
     index: usize,
     scheme: ReluScheme,
     scale_divisor: usize,
     sparsity: f64,
-) -> TraceKey {
-    let elements = (config.elements / scale_divisor.max(1)).max(256);
-    let seed = 0xF16_5EED ^ ((index as u64) << 8);
-    TraceKey::new(
-        "fig12",
-        format!(
-            "cfg={};scheme={scheme};elements={elements};sparsity={sparsity};seed={seed:#x};opts=default",
-            config.name
-        ),
+) -> String {
+    format!(
+        "cfg={};scheme={scheme};elements={};sparsity={sparsity};seed={:#x};opts=default",
+        config.name,
+        cell_elements(config, scale_divisor),
+        cell_seed(index)
     )
 }
 
-/// Runs one (config, scheme) cell with the trace cache: replay on a valid
-/// hit, simulate-and-capture otherwise. Every cache failure — open,
-/// replay, capture, finish — degrades to plain in-process simulation.
-fn sweep_cell(
-    cache: Option<&TraceCache>,
-    mode: CacheMode,
+/// Generates the input of one (config, scheme) cell and runs its kernel
+/// on `machine`.
+fn simulate_cell(
+    machine: &mut Machine,
     config: &DeepBenchConfig,
     index: usize,
     scheme: ReluScheme,
     scale_divisor: usize,
     sparsity: f64,
-) -> (Fig12Cell, PrefetchStats) {
-    let elements = (config.elements / scale_divisor.max(1)).max(256);
-    let seed = 0xF16_5EED ^ ((index as u64) << 8);
-    let sim_cfg = SimConfig::table1();
-    let fingerprint = config_fingerprint(&sim_cfg);
-    let key = cell_key(config, index, scheme, scale_divisor, sparsity);
-    if let Some(cache) = cache {
-        match mode {
-            CacheMode::Refresh => cache.evict(&key, fingerprint),
-            CacheMode::Auto => {
-                if let Some(mut reader) = cache.open(&key, fingerprint) {
-                    let mut machine = Machine::new(sim_cfg.clone(), UopTable::skylake_x());
-                    match replay(&mut reader, &mut machine) {
-                        Ok(outcome) => {
-                            let note = serde_json::from_str::<CellNote>(&outcome.note);
-                            if let (Some(window), Ok(note)) = (outcome.measured, note) {
-                                let cell = Fig12Cell {
-                                    scheme,
-                                    onchip_bytes: window.traffic.onchip_bytes(),
-                                    dram_bytes: window.traffic.dram_bytes,
-                                    cycles: window.cycles,
-                                    compression_ratio: note.compression_ratio(),
-                                };
-                                return (cell, outcome.summary.l2_prefetch);
-                            }
-                            log_warn!(
-                                "fig12 trace for [{}] lacks a window or note; re-capturing",
-                                key.cell
-                            );
-                            cache.quarantine_replay_failure(
-                                &key,
-                                fingerprint,
-                                "replayed clean but lacks a measurement window or note",
-                            );
-                        }
-                        Err(e) => {
-                            log_warn!("fig12 replay of [{}] failed ({e}); re-capturing", key.cell);
-                            if !matches!(e, TraceError::Io(_)) {
-                                cache.quarantine_replay_failure(&key, fingerprint, &e.to_string());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Cache miss (or caching off): simulate, capturing when possible.
-    let nnz = nnz_synthetic(elements, sparsity, 6.0, seed);
-    let mut machine = Machine::new(sim_cfg, UopTable::skylake_x());
-    let session =
-        cache.and_then(
-            |c| match c.begin_capture(&key, TraceMeta::for_config(machine.config())) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    log_warn!(
-                        "fig12 capture of [{}] cannot start ({e}); running uncached",
-                        key.cell
-                    );
-                    None
-                }
-            },
-        );
-    if let Some(s) = &session {
-        machine.set_observer(Some(s.observer()));
-    }
-    let result = run_relu(&mut machine, scheme, &nnz, &ReluOpts::default());
-    machine.set_observer(None);
-    if let Some(s) = session {
-        let note = serde_json::to_string(&CellNote {
-            output_bytes: result.output_bytes,
-            uncompressed_bytes: result.uncompressed_bytes,
-        })
-        .unwrap_or_default();
-        if let Err(e) = s.finish(&note) {
-            log_warn!("fig12 capture of [{}] failed ({e}); result kept", key.cell);
-        }
-    }
-    let cell = Fig12Cell {
+) -> ReluRunResult {
+    let nnz = nnz_synthetic(
+        cell_elements(config, scale_divisor),
+        sparsity,
+        6.0,
+        cell_seed(index),
+    );
+    run_relu_with_path(
+        machine,
         scheme,
-        onchip_bytes: result.traffic.onchip_bytes(),
-        dram_bytes: result.traffic.dram_bytes,
-        cycles: result.total_cycles(),
-        compression_ratio: result.compression_ratio(),
-    };
-    (cell, machine.summary().l2_prefetch)
+        &nnz,
+        &ReluOpts::default(),
+        ExecPath::Batched,
+    )
 }
 
-/// Runs the Figure 12 sweep sharded across threads with trace-cached,
+/// Simulates one (config, scheme) cell on a fresh machine.
+fn sweep_cell(
+    config: &DeepBenchConfig,
+    index: usize,
+    scheme: ReluScheme,
+    scale_divisor: usize,
+    sparsity: f64,
+) -> Fig12CellRecord {
+    let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
+    let result = simulate_cell(&mut machine, config, index, scheme, scale_divisor, sparsity);
+    Fig12CellRecord {
+        cell: Fig12Cell::measured(scheme, &result),
+        prefetch: machine.summary().l2_prefetch,
+    }
+}
+
+/// Runs the Figure 12 sweep sharded across threads with journalled,
 /// *supervised* cells; equivalent to [`run_configs`] cell for cell.
 ///
-/// Cold cells simulate in-process (capturing a trace when a cache is
-/// configured); warm cells replay their cached trace, skipping workload
-/// generation. Every cell runs under the supervision policy in `opts`
-/// (panic isolation, optional watchdog deadline, deterministic retry);
-/// cells that exhaust their budget land in `quarantined` with a zeroed
-/// placeholder in their row slot instead of aborting the sweep. With a
-/// cache root configured, completed cells are journalled so
-/// `opts.resume` skips them on a re-run — the resumed result is
-/// byte-identical to an uninterrupted one. The merge is deterministic:
-/// results are assembled in config/scheme order regardless of which
-/// worker finished first.
+/// With a cache root in [`CacheMode::Auto`], every cell the root's
+/// journal already holds under this model identity is restored without
+/// executing, and newly executed cells are added to it — so a rerun over
+/// a warm root executes nothing, and calls over different configuration
+/// subsets accumulate into one journal. [`CacheMode::Refresh`] starts a
+/// fresh journal and recomputes every cell. Every cell runs under the
+/// supervision policy in `opts` (panic isolation, optional watchdog
+/// deadline, deterministic retry); cells that exhaust their budget land
+/// in `quarantined` with a zeroed placeholder in their row slot instead
+/// of aborting the sweep. The merge is deterministic: results are
+/// assembled in config/scheme order regardless of which worker finished
+/// first, and a restored result is byte-identical to a computed one.
 pub fn run_sweep(
     configs: &[DeepBenchConfig],
     scale_divisor: usize,
@@ -471,8 +406,10 @@ pub fn run_sweep(
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<Fig12Result>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "fig12-sweep");
-    let cache = opts.cache()?;
-    let fingerprint = config_fingerprint(&SimConfig::table1());
+    // A cached sweep reuses its journal; only `CacheMode::Refresh`
+    // recomputes.
+    let opts = &opts.clone().with_resume(opts.cache_mode == CacheMode::Auto);
+    let fingerprint = opts.fingerprint(config_fingerprint(&SimConfig::table1()));
     let items = configs.len() * SCHEMES.len();
     let key_of = |idx: usize| {
         cell_key(
@@ -482,28 +419,14 @@ pub fn run_sweep(
             scale_divisor,
             sparsity,
         )
-        .cell
     };
     let make_job = |idx: usize| -> Box<dyn FnOnce() -> Fig12CellRecord + Send + 'static> {
         // The job must be self-contained ('static): a watchdogged attempt
         // may outlive this stack frame.
-        let cache = cache.clone();
-        let mode = opts.cache_mode;
         let config = configs[idx / SCHEMES.len()].clone();
         let config_index = idx / SCHEMES.len();
         let scheme = SCHEMES[idx % SCHEMES.len()];
-        Box::new(move || {
-            let (cell, prefetch) = sweep_cell(
-                cache.as_ref(),
-                mode,
-                &config,
-                config_index,
-                scheme,
-                scale_divisor,
-                sparsity,
-            );
-            Fig12CellRecord { cell, prefetch }
-        })
+        Box::new(move || sweep_cell(&config, config_index, scheme, scale_divisor, sparsity))
     };
     let run = run_cells("fig12", items, fingerprint, opts, key_of, make_job)?;
 
@@ -543,7 +466,7 @@ pub fn run_sweep(
         }
         rows.push(Fig12Row {
             config: config.clone(),
-            simulated_elements: (config.elements / scale_divisor.max(1)).max(256),
+            simulated_elements: cell_elements(config, scale_divisor),
             cells: row_cells,
         });
     }
@@ -575,6 +498,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::run_sharded;
     use zcomp_dnn::deepbench::{suite_configs, Suite};
 
     fn quick() -> Fig12Result {
@@ -623,94 +547,249 @@ mod tests {
         }
     }
 
+    fn temp_root(tag: &str) -> std::path::PathBuf {
+        let root = std::env::temp_dir().join(format!("zfig12-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
+    }
+
+    /// The trace-free report bytes: trace builds embed run-shape metrics
+    /// (cells executed vs restored), so byte checks use the default build.
+    #[cfg(not(feature = "trace"))]
+    fn json(result: &Fig12Result) -> String {
+        serde_json::to_string(result).unwrap()
+    }
+
     #[test]
     fn sweep_matches_serial_run() {
         let configs = &suite_configs(Suite::ConvTrain)[..2];
         let reference = run_configs(configs, 4096, 0.53);
-
-        let root = std::env::temp_dir().join(format!("ztrc-fig12-sweep-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        // Cold: serial, capturing into the cache.
-        let cold = run_sweep(configs, 4096, 0.53, &SweepOpts::serial().with_cache(&root))
-            .expect("cold sweep");
-        // Warm: parallel, replaying the captured traces.
-        let warm = run_sweep(
-            configs,
-            4096,
-            0.53,
-            &SweepOpts::default().with_cache(&root).with_threads(4),
-        )
-        .expect("warm sweep");
+        let root = temp_root("sweep");
+        let opts = SweepOpts::default().with_cache(&root).with_threads(4);
+        let cold = run_sweep(configs, 4096, 0.53, &opts).expect("cold sweep");
+        let warm = run_sweep(configs, 4096, 0.53, &opts).expect("warm sweep");
         let _ = std::fs::remove_dir_all(&root);
 
         assert_eq!(
             reference.rows, cold.result.rows,
-            "cold sweep must match run_configs"
-        );
-        assert_eq!(
-            reference.rows, warm.result.rows,
-            "warm replay must match run_configs"
+            "sweep must match run_configs"
         );
         assert_eq!(reference.zcomp_prefetch, cold.result.zcomp_prefetch);
-        assert_eq!(reference.zcomp_prefetch, warm.result.zcomp_prefetch);
         assert!(cold.result.quarantined.is_empty());
         assert_eq!(cold.supervision.executed, configs.len() * SCHEMES.len());
         assert_eq!(cold.supervision.retries, 0);
+        assert_eq!(
+            warm.supervision.executed, 0,
+            "a warm rerun executes nothing"
+        );
+        assert_eq!(warm.result.rows, cold.result.rows);
+        assert_eq!(warm.result.zcomp_prefetch, cold.result.zcomp_prefetch);
+    }
+
+    /// The benchmark's shape: one call per configuration, every call on
+    /// the same root. The calls must accumulate one journal (not truncate
+    /// it), so the second pass restores all 132 cells.
+    #[test]
+    fn per_configuration_calls_share_one_warm_journal() {
+        let configs = all_configs();
+        let root = temp_root("per-config");
+        let opts = SweepOpts::serial().with_cache(&root);
+        let pass = || {
+            let mut executed = 0;
+            let mut restored = 0;
+            let mut results = Vec::new();
+            for config in &configs {
+                let out = run_sweep(std::slice::from_ref(config), 4096, 0.53, &opts)
+                    .expect("per-configuration sweep");
+                executed += out.supervision.executed;
+                restored += out.supervision.resume_skips;
+                results.push(out.result);
+            }
+            (executed, restored, results)
+        };
+        let (cold_executed, cold_restored, cold) = pass();
+        let (warm_executed, warm_restored, warm) = pass();
+        let _ = std::fs::remove_dir_all(&root);
+
+        assert_eq!(configs.len() * SCHEMES.len(), 132);
+        assert_eq!((cold_executed, cold_restored), (132, 0));
+        assert_eq!((warm_executed, warm_restored), (0, 132));
+        for (warm, cold) in warm.iter().zip(&cold) {
+            assert_eq!(warm.rows, cold.rows);
+            assert_eq!(warm.zcomp_prefetch, cold.zcomp_prefetch);
+        }
+        #[cfg(not(feature = "trace"))]
+        assert_eq!(
+            warm.iter().map(json).collect::<Vec<_>>(),
+            cold.iter().map(json).collect::<Vec<_>>(),
+            "restored JSON must be byte-identical to the computed JSON"
+        );
     }
 
     #[test]
-    fn resumed_sweep_reproduces_the_interrupted_result() {
+    fn refresh_recomputes_every_cell() {
         let configs = &suite_configs(Suite::ConvTrain)[..2];
-        let root = std::env::temp_dir().join(format!("ztrc-fig12-resume-{}", std::process::id()));
+        let root = temp_root("refresh");
+        let opts = SweepOpts::serial().with_cache(&root);
+        let cold = run_sweep(configs, 4096, 0.53, &opts).expect("cold sweep");
+        let refreshed = run_sweep(
+            configs,
+            4096,
+            0.53,
+            &opts.clone().with_mode(CacheMode::Refresh),
+        )
+        .expect("refreshed sweep");
+        let warm = run_sweep(configs, 4096, 0.53, &opts).expect("warm sweep");
         let _ = std::fs::remove_dir_all(&root);
 
-        // The uninterrupted reference run (its own cache dir, so the
-        // resumed run can't borrow its traces).
-        let ref_root = root.join("ref");
-        let full = run_sweep(
-            configs,
-            4096,
-            0.53,
-            &SweepOpts::serial().with_cache(&ref_root),
-        )
-        .expect("reference sweep");
+        let cells = configs.len() * SCHEMES.len();
+        assert_eq!(refreshed.supervision.executed, cells);
+        assert_eq!(refreshed.supervision.resume_skips, 0);
+        assert_eq!(refreshed.result.rows, cold.result.rows);
+        // The refreshed journal serves the next run.
+        assert_eq!(warm.supervision.resume_skips, cells);
+    }
 
-        // "Interrupted" run: journal exists with some completed cells
-        // (simulated by running a prefix of the sweep).
-        let run_root = root.join("run");
-        run_sweep(
-            &configs[..1],
-            4096,
-            0.53,
-            &SweepOpts::serial().with_cache(&run_root),
-        )
-        .expect("partial sweep");
+    #[test]
+    fn journal_of_another_model_identity_restores_nothing() {
+        use crate::supervise::Journal;
+        use crate::sweep::{fold_identity, model_identity};
 
-        // Resume over the full config set: the first config's cells are
-        // restored from the journal, the rest execute.
-        let resumed = run_sweep(
-            configs,
-            4096,
-            0.53,
-            &SweepOpts::serial().with_cache(&run_root).with_resume(true),
-        )
-        .expect("resumed sweep");
-        assert_eq!(resumed.supervision.resume_skips, SCHEMES.len());
-        assert_eq!(resumed.supervision.executed, SCHEMES.len());
-        assert_eq!(
-            resumed.result.rows, full.result.rows,
-            "resume must be exact"
-        );
-        assert_eq!(resumed.result.zcomp_prefetch, full.result.zcomp_prefetch);
-        // The scientific JSON must be byte-identical. (Trace builds embed
-        // run-shape metrics — cells executed vs resumed — so the byte
-        // check is for the default, trace-free report.)
+        let configs = &suite_configs(Suite::ConvTrain)[..2];
+        let root = temp_root("identity");
+        let opts = SweepOpts::serial().with_cache(&root);
+        let cold = run_sweep(configs, 4096, 0.53, &opts).expect("cold sweep");
+
+        // The journal is keyed by this executable's identity...
+        let path = root.join("fig12").join("journal.jsonl");
+        let ours = Journal::load(&path).expect("journal");
+        let base = config_fingerprint(&SimConfig::table1());
+        assert!(ours
+            .iter()
+            .all(|(_, fp, _)| fp == fold_identity(base, model_identity())));
+        // ...so re-keying every record as if a different executable had
+        // written it must leave nothing to restore.
+        let other = fold_identity(base, model_identity() ^ 1);
+        let mut theirs = Journal::fresh(&path);
+        for (cell, _, entry) in ours.iter() {
+            theirs
+                .commit(cell.to_string(), other, entry.payload.clone())
+                .expect("commit");
+        }
+        assert_eq!(theirs.len(), configs.len() * SCHEMES.len());
+
+        let rerun = run_sweep(configs, 4096, 0.53, &opts).expect("rerun");
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(rerun.supervision.resume_skips, 0);
+        assert_eq!(rerun.supervision.executed, configs.len() * SCHEMES.len());
+        assert_eq!(rerun.result.rows, cold.result.rows);
+    }
+
+    #[test]
+    fn interrupted_sweep_continues_exactly() {
+        let configs = &suite_configs(Suite::ConvTrain)[..2];
+        let root = temp_root("resume");
+        let full = run_sweep(configs, 4096, 0.53, &SweepOpts::serial()).expect("reference");
+
+        // An "interrupted" run journalled only the first configuration.
+        let opts = SweepOpts::serial().with_cache(&root);
+        run_sweep(&configs[..1], 4096, 0.53, &opts).expect("partial sweep");
+        let continued = run_sweep(configs, 4096, 0.53, &opts).expect("continued sweep");
+        let _ = std::fs::remove_dir_all(&root);
+
+        assert_eq!(continued.supervision.resume_skips, SCHEMES.len());
+        assert_eq!(continued.supervision.executed, SCHEMES.len());
+        assert_eq!(continued.result.rows, full.result.rows);
+        assert_eq!(continued.result.zcomp_prefetch, full.result.zcomp_prefetch);
         #[cfg(not(feature = "trace"))]
-        assert_eq!(
-            serde_json::to_string(&resumed.result).unwrap(),
-            serde_json::to_string(&full.result).unwrap(),
-            "resumed JSON must be byte-identical to an uninterrupted run"
-        );
+        assert_eq!(json(&continued.result), json(&full.result));
+    }
+
+    /// The byte counts a cell's trace carries in its trailer note: what
+    /// replay cannot recover from the op stream alone.
+    #[derive(Serialize, Deserialize)]
+    struct CellNote {
+        output_bytes: u64,
+        uncompressed_bytes: u64,
+    }
+
+    fn trace_key(configs: &[DeepBenchConfig], idx: usize) -> zcomp_replay::TraceKey {
+        let ci = idx / SCHEMES.len();
+        let scheme = SCHEMES[idx % SCHEMES.len()];
+        zcomp_replay::TraceKey::new("fig12", cell_key(&configs[ci], ci, scheme, 4096, 0.53))
+    }
+
+    /// Runs cell `idx` with its op stream captured into `cache`.
+    fn capture_cell(
+        cache: &zcomp_replay::TraceCache,
+        configs: &[DeepBenchConfig],
+        idx: usize,
+    ) -> Fig12CellRecord {
+        let ci = idx / SCHEMES.len();
+        let scheme = SCHEMES[idx % SCHEMES.len()];
+        let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
+        let meta = zcomp_replay::TraceMeta::for_config(machine.config());
+        let session = cache
+            .begin_capture(&trace_key(configs, idx), meta)
+            .expect("begin capture");
+        machine.set_observer(Some(session.observer()));
+        let result = simulate_cell(&mut machine, &configs[ci], ci, scheme, 4096, 0.53);
+        machine.set_observer(None);
+        let note = CellNote {
+            output_bytes: result.output_bytes,
+            uncompressed_bytes: result.uncompressed_bytes,
+        };
+        session
+            .finish(&serde_json::to_string(&note).unwrap())
+            .expect("finish capture");
+        Fig12CellRecord {
+            cell: Fig12Cell::measured(scheme, &result),
+            prefetch: machine.summary().l2_prefetch,
+        }
+    }
+
+    /// `.ztrc` fidelity, off the sweep path: serial and threaded capture
+    /// write identical bytes, and replaying a trace through a fresh
+    /// machine reproduces the captured cell bit for bit.
+    #[test]
+    fn captured_cells_are_deterministic_and_replay_exactly() {
+        use zcomp_replay::{replay, TraceCache};
+
+        let configs = &suite_configs(Suite::ConvTrain)[..2];
+        let items = configs.len() * SCHEMES.len();
+        let root = temp_root("capture");
+        let serial = TraceCache::open_validated(root.join("serial")).unwrap();
+        let threaded = TraceCache::open_validated(root.join("threaded")).unwrap();
+        let captured: Vec<_> = (0..items)
+            .map(|i| capture_cell(&serial, configs, i))
+            .collect();
+        let captured_threaded = run_sharded(items, 4, |i| capture_cell(&threaded, configs, i));
+        assert_eq!(captured, captured_threaded);
+
+        let fingerprint = config_fingerprint(&SimConfig::table1());
+        for (idx, record) in captured.iter().enumerate() {
+            let key = trace_key(configs, idx);
+            assert_eq!(
+                std::fs::read(serial.path_for(&key, fingerprint)).unwrap(),
+                std::fs::read(threaded.path_for(&key, fingerprint)).unwrap(),
+                "serial and threaded capture must write identical traces"
+            );
+            let mut reader = serial.open(&key, fingerprint).expect("cached trace");
+            let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
+            let outcome = replay(&mut reader, &mut machine).expect("replay");
+            let window = outcome.measured.expect("measured window");
+            let note: CellNote = serde_json::from_str(&outcome.note).unwrap();
+            let replayed = Fig12Cell {
+                scheme: record.cell.scheme,
+                onchip_bytes: window.traffic.onchip_bytes(),
+                dram_bytes: window.traffic.dram_bytes,
+                cycles: window.cycles,
+                compression_ratio: note.uncompressed_bytes as f64 / note.output_bytes as f64,
+            };
+            assert_eq!(replayed, record.cell);
+            assert_eq!(replayed.cycles.to_bits(), record.cell.cycles.to_bits());
+            assert_eq!(outcome.summary.l2_prefetch, record.prefetch);
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -12,16 +12,13 @@ use zcomp_dnn::sparsity::SparsityModel;
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::layer_exec::Scheme;
 use zcomp_kernels::network_exec::{run_network, NetworkExecOpts};
-use zcomp_replay::{
-    config_fingerprint, replay, CacheMode, TraceCache, TraceError, TraceKey, TraceMeta,
-};
+use zcomp_replay::config_fingerprint;
 use zcomp_sim::config::SimConfig;
 use zcomp_sim::engine::{Machine, RunSummary};
-use zcomp_trace::log_warn;
 
 use crate::report::{mean, pct, Table};
 use crate::supervise::{CellFailure, CellOutcome};
-use crate::sweep::{run_cells, SweepError, SweepOpts, SweepOutcome};
+use crate::sweep::{run_cells, CacheMode, SweepError, SweepOpts, SweepOutcome};
 
 /// Training or inference column group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -277,70 +274,19 @@ fn cell_from_summary(scheme: Scheme, summary: &RunSummary) -> FullNetCell {
     }
 }
 
-/// Runs one (model, mode, scheme) cell with the trace cache: replay on a
-/// valid hit, simulate-and-capture otherwise. A warm cell skips network
-/// construction and sparsity profiling entirely; every cache failure
-/// degrades to plain in-process simulation.
-fn sweep_cell(
-    cache: Option<&TraceCache>,
-    cache_mode: CacheMode,
+/// Builds the (model, mode) workload at `batch` and runs it under
+/// `scheme` on `machine`.
+fn simulate_cell(
+    machine: &mut Machine,
     model: ModelId,
     mode: Mode,
     scheme: Scheme,
     batch: usize,
-) -> FullNetCell {
-    let sim_cfg = SimConfig::table1();
-    let fingerprint = config_fingerprint(&sim_cfg);
-    let key = TraceKey::new(
-        "fullnet",
-        format!("model={model};mode={mode};scheme={scheme:?};batch={batch};profile=50"),
-    );
-    if let Some(cache) = cache {
-        match cache_mode {
-            CacheMode::Refresh => cache.evict(&key, fingerprint),
-            CacheMode::Auto => {
-                if let Some(mut reader) = cache.open(&key, fingerprint) {
-                    let mut machine = Machine::new(sim_cfg.clone(), UopTable::skylake_x());
-                    match replay(&mut reader, &mut machine) {
-                        Ok(outcome) => return cell_from_summary(scheme, &outcome.summary),
-                        Err(e) => {
-                            log_warn!(
-                                "fullnet replay of [{}] failed ({e}); re-capturing",
-                                key.cell
-                            );
-                            if !matches!(e, TraceError::Io(_)) {
-                                cache.quarantine_replay_failure(&key, fingerprint, &e.to_string());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Cache miss (or caching off): build the workload and simulate,
-    // capturing when possible.
+) -> RunSummary {
     let net = model.build(batch);
     let profile = SparsityModel::default().profile(&net, 50);
-    let mut machine = Machine::new(sim_cfg, UopTable::skylake_x());
-    let session =
-        cache.and_then(
-            |c| match c.begin_capture(&key, TraceMeta::for_config(machine.config())) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    log_warn!(
-                        "fullnet capture of [{}] cannot start ({e}); running uncached",
-                        key.cell
-                    );
-                    None
-                }
-            },
-        );
-    if let Some(s) = &session {
-        machine.set_observer(Some(s.observer()));
-    }
-    let result = run_network(
-        &mut machine,
+    run_network(
+        machine,
         &net,
         &profile,
         &NetworkExecOpts {
@@ -348,36 +294,44 @@ fn sweep_cell(
             training: mode == Mode::Training,
             ..NetworkExecOpts::default()
         },
-    );
-    machine.set_observer(None);
-    if let Some(s) = session {
-        if let Err(e) = s.finish("{}") {
-            log_warn!(
-                "fullnet capture of [{}] failed ({e}); result kept",
-                key.cell
-            );
-        }
-    }
-    cell_from_summary(scheme, &result.summary)
+    )
+    .summary
 }
 
-/// Runs the full-network sweep sharded across threads with trace-cached,
+/// Simulates one (model, mode, scheme) cell on a fresh machine.
+fn sweep_cell(model: ModelId, mode: Mode, scheme: Scheme, batch: usize) -> FullNetCell {
+    let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
+    cell_from_summary(
+        scheme,
+        &simulate_cell(&mut machine, model, mode, scheme, batch),
+    )
+}
+
+/// The journal key of one (model, mode, scheme) cell.
+fn cell_key(model: ModelId, mode: Mode, scheme: Scheme, batch: usize) -> String {
+    format!("model={model};mode={mode};scheme={scheme:?};batch={batch};profile=50")
+}
+
+/// Runs the full-network sweep sharded across threads with journalled,
 /// *supervised* cells; equivalent to [`run`] row for row.
 ///
-/// All 30 (network, mode, scheme) cells are independent; warm cells replay
-/// their cached trace without rebuilding the network or re-profiling
-/// sparsity. Cells run under the supervision policy in `opts` — panics
-/// and watchdog timeouts quarantine the cell (zeroed placeholder slot +
-/// entry in `quarantined`) instead of aborting; with a cache root,
-/// completions are journalled and `opts.resume` restores them exactly.
-/// The merge is deterministic regardless of scheduling.
+/// All 30 (network, mode, scheme) cells are independent. With a cache
+/// root in [`CacheMode::Auto`], cells the root's journal already holds
+/// under this model identity are restored without executing;
+/// [`CacheMode::Refresh`] recomputes every cell. Cells run under the
+/// supervision policy in `opts` — panics and watchdog timeouts quarantine
+/// the cell (zeroed placeholder slot + entry in `quarantined`) instead of
+/// aborting. The merge is deterministic regardless of scheduling, and a
+/// restored result is byte-identical to a computed one.
 pub fn run_sweep(
     batch_divisor: usize,
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<FullNetResult>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "fullnet-sweep");
-    let cache = opts.cache()?;
-    let fingerprint = config_fingerprint(&SimConfig::table1());
+    // A cached sweep reuses its journal; only `CacheMode::Refresh`
+    // recomputes.
+    let opts = &opts.clone().with_resume(opts.cache_mode == CacheMode::Auto);
+    let fingerprint = opts.fingerprint(config_fingerprint(&SimConfig::table1()));
     let modes = [Mode::Training, Mode::Inference];
     let batch_of = |model: ModelId, mode: Mode| match mode {
         Mode::Training => (model.training_batch() / batch_divisor.max(1)).max(1),
@@ -392,15 +346,12 @@ pub fn run_sweep(
     let items = ModelId::ALL.len() * modes.len() * SCHEMES.len();
     let key_of = |idx: usize| {
         let (model, mode, scheme) = cell_of(idx);
-        let batch = batch_of(model, mode);
-        format!("model={model};mode={mode};scheme={scheme:?};batch={batch};profile=50")
+        cell_key(model, mode, scheme, batch_of(model, mode))
     };
     let make_job = |idx: usize| -> Box<dyn FnOnce() -> FullNetCell + Send + 'static> {
-        let cache = cache.clone();
-        let cache_mode = opts.cache_mode;
         let (model, mode, scheme) = cell_of(idx);
         let batch = batch_of(model, mode);
-        Box::new(move || sweep_cell(cache.as_ref(), cache_mode, model, mode, scheme, batch))
+        Box::new(move || sweep_cell(model, mode, scheme, batch))
     };
     let run = run_cells("fullnet", items, fingerprint, opts, key_of, make_job)?;
 
@@ -523,25 +474,73 @@ mod tests {
     #[test]
     fn sweep_matches_serial_run() {
         let reference = quick();
-        let root = std::env::temp_dir().join(format!("ztrc-fullnet-sweep-{}", std::process::id()));
+        let root = std::env::temp_dir().join(format!("zfullnet-sweep-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        // Cold: parallel capture into the cache (order must not matter).
-        let cold = run_sweep(16, &SweepOpts::default().with_cache(&root).with_threads(4))
-            .expect("cold sweep");
-        // Warm: replay every cell from the cache.
-        let warm = run_sweep(16, &SweepOpts::default().with_cache(&root).with_threads(4))
-            .expect("warm sweep");
+        let opts = SweepOpts::default().with_cache(&root).with_threads(4);
+        let cold = run_sweep(16, &opts).expect("cold sweep");
+        // A warm rerun restores every cell from the journal.
+        let warm = run_sweep(16, &opts).expect("warm sweep");
         let _ = std::fs::remove_dir_all(&root);
 
-        assert_eq!(
-            reference.rows, cold.result.rows,
-            "cold sweep must match run()"
-        );
-        assert_eq!(
-            reference.rows, warm.result.rows,
-            "warm replay must match run()"
-        );
+        assert_eq!(reference.rows, cold.result.rows, "sweep must match run()");
         assert!(cold.result.quarantined.is_empty());
         assert_eq!(cold.supervision.cells, 30);
+        assert_eq!(cold.supervision.executed, 30);
+        assert_eq!(warm.supervision.executed, 0);
+        assert_eq!(warm.supervision.resume_skips, 30);
+        assert_eq!(warm.result.rows, cold.result.rows);
+        #[cfg(not(feature = "trace"))]
+        assert_eq!(
+            serde_json::to_string(&warm.result).unwrap(),
+            serde_json::to_string(&cold.result).unwrap(),
+            "restored JSON must be byte-identical to the computed JSON"
+        );
+    }
+
+    /// `.ztrc` fidelity, off the sweep path: serial and threaded capture
+    /// of the ResNet-32 inference cells write identical bytes, and replay
+    /// reproduces each captured run's statistics bit for bit.
+    #[test]
+    fn captured_cells_are_deterministic_and_replay_exactly() {
+        use crate::sweep::run_sharded;
+        use zcomp_replay::{replay, TraceCache, TraceKey, TraceMeta};
+
+        let root = std::env::temp_dir().join(format!("zfullnet-capture-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (model, mode, batch) = (ModelId::Resnet32, Mode::Inference, 4);
+        let key = |scheme| TraceKey::new("fullnet", cell_key(model, mode, scheme, batch));
+        let capture = |cache: &TraceCache, scheme: Scheme| {
+            let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
+            let meta = TraceMeta::for_config(machine.config());
+            let session = cache.begin_capture(&key(scheme), meta).expect("begin");
+            machine.set_observer(Some(session.observer()));
+            let summary = simulate_cell(&mut machine, model, mode, scheme, batch);
+            machine.set_observer(None);
+            session.finish("{}").expect("finish");
+            summary
+        };
+        let serial = TraceCache::open_validated(root.join("serial")).unwrap();
+        let threaded = TraceCache::open_validated(root.join("threaded")).unwrap();
+        let captured: Vec<RunSummary> = SCHEMES.iter().map(|&s| capture(&serial, s)).collect();
+        let captured_threaded = run_sharded(SCHEMES.len(), 3, |i| capture(&threaded, SCHEMES[i]));
+        assert_eq!(captured, captured_threaded);
+
+        let fingerprint = config_fingerprint(&SimConfig::table1());
+        for (scheme, summary) in SCHEMES.iter().zip(&captured) {
+            assert_eq!(
+                std::fs::read(serial.path_for(&key(*scheme), fingerprint)).unwrap(),
+                std::fs::read(threaded.path_for(&key(*scheme), fingerprint)).unwrap(),
+                "serial and threaded capture must write identical traces"
+            );
+            let mut reader = serial.open(&key(*scheme), fingerprint).expect("trace");
+            let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
+            let outcome = replay(&mut reader, &mut machine).expect("replay");
+            assert_eq!(&outcome.summary, summary, "replay must reproduce all stats");
+            assert_eq!(
+                cell_from_summary(*scheme, &outcome.summary),
+                cell_from_summary(*scheme, summary)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -307,7 +307,7 @@ pub fn run_sweep(
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<ServeResult>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "serve-sweep");
-    let fingerprint = config_fingerprint(&SimConfig::table1());
+    let fingerprint = opts.fingerprint(config_fingerprint(&SimConfig::table1()));
     let items = grid.networks.len() * SCHEMES.len();
     let cell_of = |idx: usize| {
         let (model, max_batch) = grid.networks[idx / SCHEMES.len()];

@@ -586,7 +586,7 @@ pub fn run_sweep(
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<ChaosResult>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "serve_chaos-sweep");
-    let fingerprint = config_fingerprint(&SimConfig::table1());
+    let fingerprint = opts.fingerprint(config_fingerprint(&SimConfig::table1()));
     let key_of = |idx: usize| cell_key(grid, idx);
     let grid_for_jobs = grid.clone();
     let make_job = move |idx: usize| -> Box<dyn FnOnce() -> ChaosCell + Send + 'static> {

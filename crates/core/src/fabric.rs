@@ -1,5 +1,5 @@
 //! Crash-safe multi-process sweep fabric: a coordinator-less, file-locked
-//! work queue layered over the trace-cache directory tree.
+//! work queue layered over a shared directory tree.
 //!
 //! PR-5 supervision made a *single process* survive panics, hangs and
 //! SIGKILL. The fabric generalizes that discipline to *many cooperating
@@ -205,7 +205,7 @@ pub enum LeaseState {
 /// The on-disk claim on one sweep cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Lease {
-    /// Cell descriptor (the trace-cache / journal cell key).
+    /// Cell descriptor (the journal cell key).
     pub cell: String,
     /// Machine-config fingerprint of the sweep.
     pub fingerprint: u32,
@@ -226,16 +226,6 @@ pub enum LeaseView {
     Held(Lease, Duration),
     /// An unparseable lease file (a writer died mid-write), with its age.
     Torn(Duration),
-}
-
-/// FNV-1a 64-bit — names lease files from cell descriptors.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// Maps a worker id onto a filesystem-safe journal-file stem.
@@ -275,7 +265,7 @@ impl LeaseDir {
         bytes.extend_from_slice(cell.as_bytes());
         bytes.push(0);
         bytes.extend_from_slice(&fingerprint.to_le_bytes());
-        fnv1a64(&bytes)
+        zcomp_trace::hash::fnv1a64(&bytes)
     }
 
     fn lease_path(&self, hash: u64) -> PathBuf {
@@ -780,8 +770,8 @@ where
         dir: dir.clone(),
         source,
     })?;
-    // Validate the trace-cache root up front, exactly like plain sweeps.
-    opts.cache()?;
+    // Validate the cache root up front, exactly like plain sweeps.
+    opts.validate_root()?;
     install_drain_handler();
 
     let worker = fabric.worker.clone();

@@ -25,8 +25,8 @@
 //!   sweep output marks the quarantined index explicitly so partial
 //!   results stay byte-deterministic.
 //! * **Journal** — [`Journal`] is an append-only, CRC-guarded completion
-//!   log (`journal.jsonl` under the trace-cache root) persisted with the
-//!   tmp+atomic-rename idiom; a resumed sweep skips every
+//!   log (`journal.jsonl` under the cache root) persisted with the
+//!   tmp+atomic-rename idiom; a sweep started from it skips every
 //!   verified-complete cell and reproduces the identical final report.
 
 use std::collections::BTreeMap;
@@ -38,7 +38,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
-use zcomp_isa::integrity::crc32;
+use zcomp_trace::hash::crc32;
 use zcomp_trace::{log_info, log_warn};
 
 /// Retry, deadline and backoff policy of a supervised sweep.
@@ -171,8 +171,7 @@ impl std::fmt::Display for FailureReason {
 pub struct CellFailure {
     /// Flat cell index within the sweep.
     pub index: usize,
-    /// The cell's descriptor string (the same key the trace cache and
-    /// journal use).
+    /// The cell's descriptor string (the key the journal uses).
     pub cell: String,
     /// Attempts consumed before quarantine.
     pub attempts: u32,
@@ -356,7 +355,7 @@ where
 /// plain single-process sweeps), and a CRC32 over all of them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JournalRecord {
-    /// Cell descriptor (the trace-cache cell key).
+    /// Cell descriptor (the sweep's cell key).
     pub cell: String,
     /// Machine-config fingerprint the result was produced under.
     pub fingerprint: u32,

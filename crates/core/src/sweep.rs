@@ -1,9 +1,9 @@
 //! Sharded, *supervised* sweep execution: spreads independent experiment
-//! cells across OS threads with a deterministic merge, carries the
-//! trace-cache policy the cell runners use, and wraps every cell in the
-//! [`supervise`](crate::supervise) runtime — panic isolation, watchdog
-//! deadlines, deterministic retry, quarantine, and a crash-safe
-//! completion journal for `--resume`.
+//! cells across OS threads with a deterministic merge, and wraps every
+//! cell in the [`supervise`](crate::supervise) runtime — panic isolation,
+//! watchdog deadlines, deterministic retry, quarantine, and a crash-safe
+//! completion journal that restores finished cells instead of re-running
+//! them.
 //!
 //! Every cell of the Fig. 12 and full-network sweeps builds its own
 //! [`Machine`](zcomp_sim::Machine) from a fixed seed, so cells are
@@ -15,14 +15,16 @@
 //! top without disturbing that property: quarantined indices carry an
 //! explicit [`CellFailure`] marker, journal-restored cells decode to the
 //! exact value the original execution produced, and the merged report of
-//! a resumed sweep is byte-identical to an uninterrupted one.
+//! a restored sweep is byte-identical to a freshly computed one.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
-use zcomp_replay::{CacheMode, TraceCache, TraceError};
+use zcomp_replay::{TraceCache, TraceError};
+use zcomp_trace::hash::Fnv1a64;
 use zcomp_trace::log_warn;
 
 use crate::fabric::{FabricOpts, FabricReport};
@@ -33,9 +35,9 @@ use crate::supervise::{CellFailure, CellOutcome, Journal, SuperviseOpts};
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SweepError {
-    /// The trace-cache root cannot be created or written. Surfaced at
-    /// sweep start so a bad `--traces` path fails in milliseconds, not
-    /// per-cell over hours.
+    /// The cache root (which holds the completion journals) cannot be
+    /// created or written. Surfaced at sweep start so a bad `--traces`
+    /// path fails in milliseconds, not per-cell over hours.
     CacheRoot {
         /// The offending root directory.
         root: PathBuf,
@@ -71,11 +73,9 @@ pub enum SweepError {
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepError::CacheRoot { root, source } => write!(
-                f,
-                "trace cache root {} is unusable: {source}",
-                root.display()
-            ),
+            SweepError::CacheRoot { root, source } => {
+                write!(f, "cache root {} is unusable: {source}", root.display())
+            }
             SweepError::Journal { path, source } => {
                 write!(
                     f,
@@ -112,21 +112,32 @@ impl std::error::Error for SweepError {
     }
 }
 
-/// Options of a sharded, trace-cached, supervised sweep.
+/// How a sweep with a cache root treats the cells its journal holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheMode {
+    /// Restore every journalled cell; execute only the rest.
+    Auto,
+    /// Ignore the journal and recompute every cell (`--refresh`).
+    Refresh,
+}
+
+/// Options of a sharded, journalled, supervised sweep.
 #[derive(Debug, Clone)]
 pub struct SweepOpts {
     /// Worker threads; `0` or `1` runs serially on the calling thread.
     pub threads: usize,
-    /// Trace-cache root; `None` disables capture/replay entirely and every
-    /// cell simulates in-process. The root also hosts the per-experiment
-    /// resume journal.
+    /// Cache root hosting the per-experiment completion journals; `None`
+    /// keeps no journal and every cell executes.
     pub cache_root: Option<PathBuf>,
-    /// Cache policy (replay hits vs forced re-capture).
+    /// Journal policy of the Fig. 12 and full-network sweeps (reuse
+    /// journalled cells vs recompute).
     pub cache_mode: CacheMode,
     /// Per-cell supervision policy (attempts, deadline, backoff).
     pub supervise: SuperviseOpts,
-    /// Skip cells recorded as complete in the journal instead of starting
-    /// over. Requires `cache_root`; ignored without one.
+    /// Start from the journal instead of a fresh one, restoring the cells
+    /// it records as complete. Requires `cache_root`; ignored without
+    /// one. The Fig. 12 and full-network sweeps derive it from
+    /// `cache_mode` instead.
     pub resume: bool,
     /// Multi-process fabric participation: when set, [`run_cells`] joins
     /// the lease-based work queue under
@@ -158,7 +169,7 @@ impl SweepOpts {
         }
     }
 
-    /// Enables the trace cache (and resume journal) under `root`.
+    /// Keeps the completion journals under `root`.
     pub fn with_cache(mut self, root: impl Into<PathBuf>) -> Self {
         self.cache_root = Some(root.into());
         self
@@ -170,7 +181,7 @@ impl SweepOpts {
         self
     }
 
-    /// Sets the cache policy.
+    /// Sets the journal policy.
     pub fn with_mode(mut self, mode: CacheMode) -> Self {
         self.cache_mode = mode;
         self
@@ -182,7 +193,7 @@ impl SweepOpts {
         self
     }
 
-    /// Enables (or disables) journal-based resume.
+    /// Starts from (or ignores) the journal on disk.
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
         self
@@ -194,26 +205,77 @@ impl SweepOpts {
         self
     }
 
-    /// The cache handle, if caching is enabled. The root is validated
-    /// (created and write-probed) here, so an unusable `--traces` path is
-    /// a typed [`SweepError::CacheRoot`] at sweep start rather than a
-    /// per-cell failure mid-run. In fabric runs the handle is stamped
-    /// with the worker id so quarantine sidecars record who produced
-    /// them.
-    pub(crate) fn cache(&self) -> Result<Option<TraceCache>, SweepError> {
+    /// Validates the cache root, if one is set: creates and write-probes
+    /// it, so an unusable `--traces` path is a typed
+    /// [`SweepError::CacheRoot`] at sweep start rather than a per-cell
+    /// failure mid-run.
+    pub(crate) fn validate_root(&self) -> Result<(), SweepError> {
         match &self.cache_root {
-            None => Ok(None),
+            None => Ok(()),
             Some(root) => TraceCache::open_validated(root)
-                .map(|cache| match &self.fabric {
-                    Some(fabric) => Some(cache.with_worker(&fabric.worker)),
-                    None => Some(cache),
-                })
+                .map(drop)
                 .map_err(|source| SweepError::CacheRoot {
                     root: root.clone(),
                     source,
                 }),
         }
     }
+
+    /// The fingerprint an experiment passes to [`run_cells`]: its own
+    /// `config` fingerprint, with a model identity (a hash identifying
+    /// the running executable) folded in whenever a journal is in use (a
+    /// cache root or a fabric). A journal record
+    /// therefore only restores in a process running the same executable
+    /// that wrote it — a rebuilt simulator never inherits old results.
+    pub fn fingerprint(&self, config: u32) -> u32 {
+        if self.cache_root.is_none() && self.fabric.is_none() {
+            return config;
+        }
+        fold_identity(config, model_identity())
+    }
+}
+
+/// Folds a model identity into a config fingerprint.
+pub(crate) fn fold_identity(config: u32, identity: u64) -> u32 {
+    let mut h = Fnv1a64::new();
+    h.update(&config.to_le_bytes());
+    h.update(&identity.to_le_bytes());
+    let h = h.finish();
+    (h ^ (h >> 32)) as u32
+}
+
+/// The model identity: a 64-bit FNV-1a over the running executable's
+/// length and modification time, computed once per process (on first
+/// use). Every rebuild writes a new executable, so a rebuilt simulator
+/// gets a new identity. The file's metadata stands in for its bytes
+/// because hashing the bytes costs every journalling process ~17 ms for
+/// a release build and ~55 ms for a debug one (34 MB). If the executable
+/// cannot be inspected, the identity is unique to this process instead,
+/// so nothing another process journalled is ever reused.
+pub(crate) fn model_identity() -> u64 {
+    static IDENTITY: OnceLock<u64> = OnceLock::new();
+    *IDENTITY.get_or_init(|| {
+        let since_epoch = |t: SystemTime| t.duration_since(UNIX_EPOCH).unwrap_or_default();
+        let mut h = Fnv1a64::new();
+        let stamp = std::env::current_exe()
+            .and_then(std::fs::metadata)
+            .and_then(|m| Ok((m.len(), since_epoch(m.modified()?))));
+        match stamp {
+            Ok((len, mtime)) => {
+                h.update(&len.to_le_bytes());
+                h.update(&mtime.as_secs().to_le_bytes());
+                h.update(&mtime.subsec_nanos().to_le_bytes());
+            }
+            Err(e) => {
+                log_warn!(
+                    "cannot inspect the running executable ({e}); journalled cells will not be reused"
+                );
+                h.update(&std::process::id().to_le_bytes());
+                h.update(&since_epoch(SystemTime::now()).as_nanos().to_le_bytes());
+            }
+        }
+        h.finish()
+    })
 }
 
 /// What the supervisor observed across one sweep: counts plus the
@@ -278,8 +340,8 @@ pub struct CellsRun<T> {
 /// Runs `items` supervised cells, sharded over `opts.threads`, journalling
 /// completions under the cache root and honouring `opts.resume`.
 ///
-/// `key_of(i)` names cell `i` — the same descriptor string the trace
-/// cache uses, which (with `fingerprint`) keys the journal record.
+/// `key_of(i)` names cell `i`; with `fingerprint` (see
+/// [`SweepOpts::fingerprint`]) it keys the journal record.
 /// `make_job(i)` builds a fresh self-contained closure per attempt; see
 /// [`supervise::run_cell`](crate::supervise::run_cell) for why it must be
 /// `'static`.
@@ -307,12 +369,12 @@ where
         return crate::fabric::run_fabric(experiment, items, fingerprint, opts, key_of, make_job);
     }
 
-    // Validate the cache root up front even though the caller holds its
-    // own handle — a bad root must fail here, not mid-sweep.
+    // Validate the cache root up front — a bad root must fail here, not
+    // mid-sweep.
     let journal: Option<Mutex<Journal>> = match &opts.cache_root {
         None => None,
         Some(root) => {
-            opts.cache()?;
+            opts.validate_root()?;
             let path = root.join(experiment).join("journal.jsonl");
             let journal = if opts.resume {
                 Journal::load(&path).map_err(|source| SweepError::Journal {
@@ -516,7 +578,9 @@ mod tests {
         let _ = std::fs::remove_file(&blocker);
         std::fs::write(&blocker, b"file").unwrap();
         let opts = SweepOpts::serial().with_cache(blocker.join("nested"));
-        let err = opts.cache().expect_err("root under a file must fail");
+        let err = opts
+            .validate_root()
+            .expect_err("root under a file must fail");
         let text = err.to_string();
         assert!(text.contains("unusable"), "got: {text}");
         assert!(std::error::Error::source(&err).is_some());
@@ -562,6 +626,17 @@ mod tests {
         let values: Vec<u64> = run.outcomes.iter().map(|o| *o.value().unwrap()).collect();
         assert_eq!(values, vec![0, 10, 20, 30]);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn fingerprint_folds_the_model_identity_only_when_journalling() {
+        let plain = SweepOpts::serial();
+        assert_eq!(plain.fingerprint(7), 7, "no journal: nothing to protect");
+        let cached = SweepOpts::serial().with_cache(temp_root("unused"));
+        assert_eq!(cached.fingerprint(7), fold_identity(7, model_identity()));
+        assert_eq!(model_identity(), model_identity(), "computed once");
+        assert_ne!(fold_identity(7, 1), fold_identity(7, 2));
+        assert_ne!(fold_identity(7, 1), fold_identity(8, 1));
     }
 
     #[test]

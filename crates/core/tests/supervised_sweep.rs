@@ -2,12 +2,11 @@
 //! scenario from the supervised-runtime work.
 //!
 //! A sweep containing a panicking cell, a hung cell, and a corrupted
-//! cached trace must complete, with exactly those cells quarantined (or
-//! healed) and everything else produced normally — and a corrupt `.ztrc`
-//! must be moved aside, regenerated, and never silently replayed into the
-//! results.
+//! journal record must complete, with exactly those cells quarantined (or
+//! re-executed) and everything else produced normally — a damaged
+//! journal record is never restored into the results.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 use zcomp::experiments::fig12;
@@ -21,68 +20,50 @@ fn tmp_root(tag: &str) -> PathBuf {
     root
 }
 
-fn ztrc_files(root: &Path) -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = std::fs::read_dir(root)
-        .expect("read cache root")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "ztrc"))
-        .collect();
-    files.sort();
-    files
-}
-
-/// Fault-campaign cross-check for the trace cache: corrupting a cached
-/// trace between a cold and a warm sweep must (a) leave the warm results
-/// identical to the cold ones — the cell regenerates instead of replaying
-/// garbage — and (b) move the damaged file into `quarantine/` with a
-/// reason sidecar, with a fresh trace taking its slot.
+/// Corrupting one journal record between a cold and a warm sweep drops
+/// exactly that record: its cell alone re-executes, every other cell is
+/// restored, and the warm result is byte-identical to the cold one.
 #[test]
-fn corrupted_cached_trace_is_quarantined_and_regenerated() {
+fn corrupted_journal_record_is_dropped_and_only_its_cell_reexecutes() {
     let configs = &suite_configs(Suite::ConvTrain)[..2];
-    let root = tmp_root("heal");
+    let cells = configs.len() * fig12::SCHEMES.len();
+    let root = tmp_root("journal-rot");
     let opts = SweepOpts::serial().with_cache(&root);
 
     let cold = fig12::run_sweep(configs, 4096, 0.53, &opts).expect("cold sweep");
     assert!(cold.supervision.quarantined.is_empty());
-    let traces = ztrc_files(&root);
-    assert_eq!(traces.len(), configs.len() * fig12::SCHEMES.len());
+    assert_eq!(cold.supervision.executed, cells);
 
-    // Flip one byte in the middle of a cached trace.
-    let victim = &traces[traces.len() / 2];
-    let mut bytes = std::fs::read(victim).expect("read trace");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x5A;
-    std::fs::write(victim, &bytes).expect("write corrupted trace");
+    // Flip one byte in the middle of one record.
+    let journal = root.join("fig12").join("journal.jsonl");
+    let text = std::fs::read_to_string(&journal).expect("read journal");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), cells);
+    let victim = lines.len() / 2;
+    let start: usize = lines[..victim].iter().map(|l| l.len() + 1).sum();
+    let offset = start + lines[victim].len() / 2;
+    let mut bytes = text.clone().into_bytes();
+    bytes[offset] ^= 0x01;
+    std::fs::write(&journal, &bytes).expect("write corrupted journal");
 
     let warm = fig12::run_sweep(configs, 4096, 0.53, &opts).expect("warm sweep");
     assert!(warm.supervision.quarantined.is_empty());
     assert_eq!(
-        warm.result.rows, cold.result.rows,
-        "a corrupt cached trace must be regenerated, never silently replayed"
+        warm.supervision.executed, 1,
+        "only the damaged cell re-runs"
+    );
+    assert_eq!(warm.supervision.resume_skips, cells - 1);
+    assert_eq!(warm.result.rows, cold.result.rows);
+    #[cfg(not(feature = "trace"))]
+    assert_eq!(
+        serde_json::to_string(&warm.result).unwrap(),
+        serde_json::to_string(&cold.result).unwrap(),
+        "the warm result must be byte-identical"
     );
 
-    // Quarantined copies land in bounded history slots named
-    // `<stem>.<slot>.ztrc`; a first-time failure takes slot 0.
-    let stem = victim.file_stem().unwrap().to_str().unwrap();
-    let qfile = root.join("quarantine").join(format!("{stem}.0.ztrc"));
-    assert!(qfile.exists(), "damaged trace must land in quarantine/");
-    let mut reason = qfile.clone().into_os_string();
-    reason.push(".reason.txt");
-    assert!(
-        std::fs::read_to_string(reason)
-            .expect("reason sidecar")
-            .contains("verification"),
-        "reason sidecar must explain the quarantine"
-    );
-    assert!(
-        victim.exists(),
-        "the cache slot must hold a regenerated trace"
-    );
-    assert_ne!(
-        std::fs::read(victim).expect("reread trace"),
-        bytes,
-        "regenerated trace must not be the corrupted bytes"
-    );
+    // The re-executed cell's commit healed the journal.
+    let healed = fig12::run_sweep(configs, 4096, 0.53, &opts).expect("healed sweep");
+    assert_eq!(healed.supervision.executed, 0);
 
     let _ = std::fs::remove_dir_all(&root);
 }

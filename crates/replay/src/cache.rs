@@ -11,43 +11,33 @@
 //! version, so changing either simply misses the cache — stale files are
 //! never mistaken for current ones, and no invalidation pass is needed.
 //!
-//! Failure policy mirrors the recorder's: the cache is an optimization.
-//! [`TraceCache::open`] returns `None` on *any* problem — missing file,
-//! unreadable file, corrupt or truncated trace, version or config
-//! mismatch — and the caller regenerates; a sweep never aborts because a
-//! cached file went bad.
+//! The sweeps do not read this store: a warm sweep restores whole cell
+//! results from its completion journal instead. `.ztrc` files are a
+//! debugging and differential-test artifact — capture a cell, replay it
+//! through a fresh machine, diff the op stream or the statistics.
 //!
-//! The cache is also *self-healing*: a file that fails verification on
-//! read (CRC, version, or config-fingerprint mismatch) is moved into a
-//! `quarantine/` subdirectory next to a `<name>.reason.txt` explaining
-//! why (and naming the worker that hit it), so the next capture
-//! regenerates it transparently and the rotted bytes stay available for
-//! post-mortem instead of being silently replayed or clobbered. Each
-//! cache slot keeps at most [`QUARANTINE_SLOTS`] quarantined copies —
-//! a repeat offender with the *same* failure reason re-uses its slot,
-//! and once all slots are full the oldest is recycled — so a flaky disk
-//! cannot grow `quarantine/` without bound. Transient I/O errors
-//! (permissions, disk trouble) leave the file in place — only *proven*
-//! corruption is quarantined.
+//! Failure policy mirrors the recorder's: [`TraceCache::open`] returns
+//! `None` on *any* problem — missing file, unreadable file, corrupt or
+//! truncated trace, version or config mismatch. A file that fails
+//! verification on open (CRC, version, or config-fingerprint mismatch) is
+//! moved into a `quarantine/` subdirectory next to a `<name>.reason.txt`
+//! explaining why, so the next capture regenerates it and the rotted bytes
+//! stay available for post-mortem. Each cache slot keeps at most
+//! [`QUARANTINE_SLOTS`] quarantined copies — a repeat offender with the
+//! *same* failure reason re-uses its slot, and once all slots are full the
+//! oldest is recycled. Transient I/O errors (permissions, disk trouble)
+//! leave the file in place — only *proven* corruption is quarantined.
 
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 
+use zcomp_trace::hash::Fnv1a64;
 use zcomp_trace::{log_warn, tracer};
 
 use crate::codec::{TraceMeta, TraceReader, FORMAT_VERSION};
 use crate::recorder::CaptureSession;
 use crate::TraceError;
-
-/// How a sweep treats the trace cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheMode {
-    /// Replay cached traces when present and valid; capture on miss.
-    Auto,
-    /// Ignore existing traces and re-capture everything.
-    Refresh,
-}
 
 /// Identity of one cached trace: the experiment family plus a free-form
 /// cell descriptor (config name, scheme, sizes, seeds — everything that
@@ -67,16 +57,6 @@ impl TraceKey {
             experiment: experiment.into(),
             cell: cell.into(),
         }
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(FNV_PRIME);
     }
 }
 
@@ -102,25 +82,12 @@ pub const QUARANTINE_SLOTS: usize = 3;
 #[derive(Debug, Clone)]
 pub struct TraceCache {
     root: PathBuf,
-    /// Id stamped into quarantine sidecars (a fabric worker id, or the
-    /// pid when unset) so multi-process sweeps record *who* hit the
-    /// corruption.
-    worker: Option<String>,
 }
 
 impl TraceCache {
     /// Opens (lazily — no I/O happens here) a cache rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> Self {
-        TraceCache {
-            root: root.into(),
-            worker: None,
-        }
-    }
-
-    /// Stamps quarantine sidecars with `worker` instead of the pid.
-    pub fn with_worker(mut self, worker: impl Into<String>) -> Self {
-        self.worker = Some(worker.into());
-        self
+        TraceCache { root: root.into() }
     }
 
     /// Opens a cache rooted at `root` and *validates* the root: creates
@@ -134,7 +101,7 @@ impl TraceCache {
         let probe = root.join(format!(".write-probe-{}", std::process::id()));
         std::fs::write(&probe, b"zcomp").map_err(TraceError::Io)?;
         std::fs::remove_file(&probe).map_err(TraceError::Io)?;
-        Ok(TraceCache { root, worker: None })
+        Ok(TraceCache { root })
     }
 
     /// The conventional cache location, `results/traces/`.
@@ -149,13 +116,14 @@ impl TraceCache {
 
     /// The file path a key maps to under `config_hash`.
     pub fn path_for(&self, key: &TraceKey, config_hash: u32) -> PathBuf {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, key.experiment.as_bytes());
-        fnv1a(&mut h, &[0]);
-        fnv1a(&mut h, key.cell.as_bytes());
-        fnv1a(&mut h, &[0]);
-        fnv1a(&mut h, &config_hash.to_le_bytes());
-        fnv1a(&mut h, &FORMAT_VERSION.to_le_bytes());
+        let mut h = Fnv1a64::new();
+        h.update(key.experiment.as_bytes());
+        h.update(&[0]);
+        h.update(key.cell.as_bytes());
+        h.update(&[0]);
+        h.update(&config_hash.to_le_bytes());
+        h.update(&FORMAT_VERSION.to_le_bytes());
+        let h = h.finish();
         self.root
             .join(format!("{}-{h:016x}.ztrc", sanitize(&key.experiment)))
     }
@@ -194,20 +162,6 @@ impl TraceCache {
         }
     }
 
-    /// Quarantines the slot for a trace that failed verification *during
-    /// replay*. The per-chunk CRCs are only checked as the reader
-    /// advances, so corruption deep in the payload surfaces at the caller
-    /// rather than at [`open`](TraceCache::open) — this is how a cell
-    /// runner reports it back. Transient I/O failures must NOT be
-    /// reported here (the bytes on disk may be fine); only deterministic
-    /// codec/verification errors prove the file itself is damaged.
-    pub fn quarantine_replay_failure(&self, key: &TraceKey, config_hash: u32, reason: &str) {
-        let path = self.path_for(key, config_hash);
-        if path.exists() {
-            self.quarantine(&path, &format!("failed verification on replay: {reason}"));
-        }
-    }
-
     /// Moves a trace that failed verification into `quarantine/` with a
     /// sidecar reason file, so the caller regenerates it and the rotted
     /// bytes stay inspectable. Best-effort: if even the move fails (e.g.
@@ -239,11 +193,10 @@ impl TraceCache {
         if std::fs::rename(path, &dest).is_ok() {
             let mut reason_path = dest.clone().into_os_string();
             reason_path.push(".reason.txt");
-            let worker = match &self.worker {
-                Some(worker) => worker.clone(),
-                None => format!("pid:{}", std::process::id()),
-            };
-            let _ = std::fs::write(reason_path, format!("{reason}\nworker: {worker}\n"));
+            let _ = std::fs::write(
+                reason_path,
+                format!("{reason}\nworker: pid:{}\n", std::process::id()),
+            );
             tracer::instant("replay", "cache.quarantine");
             tracer::counter("cache.quarantined", 1.0);
             log_warn!(
@@ -299,11 +252,6 @@ impl TraceCache {
         meta: TraceMeta,
     ) -> Result<CaptureSession, TraceError> {
         CaptureSession::begin(&self.path_for(key, meta.config_hash), meta)
-    }
-
-    /// Removes a cached trace if present (used by [`CacheMode::Refresh`]).
-    pub fn evict(&self, key: &TraceKey, config_hash: u32) {
-        let _ = std::fs::remove_file(self.path_for(key, config_hash));
     }
 }
 
@@ -362,9 +310,7 @@ mod tests {
 
         // Wrong config hash: miss, and the file is untouched.
         assert!(cache.open(&key, 100).is_none());
-
-        cache.evict(&key, 99);
-        assert!(cache.open(&key, 99).is_none());
+        assert!(cache.open(&key, 99).is_some());
         let _ = std::fs::remove_dir_all(cache.root());
     }
 
@@ -403,7 +349,7 @@ mod tests {
 
     #[test]
     fn repeat_quarantines_dedupe_and_cap_history() {
-        let cache = temp_cache("qcap").with_worker("w-test");
+        let cache = temp_cache("qcap");
         let key = TraceKey::new("fig12", "cell");
         std::fs::create_dir_all(cache.root()).unwrap();
         let path = cache.path_for(&key, 5);
@@ -426,18 +372,21 @@ mod tests {
         assert_eq!(count(&qdir), 1, "identical reasons must dedupe to one slot");
         let slot0 = qdir.join(format!("{stem}.0.ztrc"));
         assert_eq!(std::fs::read(&slot0).unwrap(), b"garbage 3", "latest copy");
-        let mut sidecar = slot0.into_os_string();
-        sidecar.push(".reason.txt");
-        let text = std::fs::read_to_string(sidecar).unwrap();
-        assert!(
-            text.contains("worker: w-test"),
-            "worker id recorded: {text}"
-        );
 
-        // Distinct reasons take distinct slots, capped at QUARANTINE_SLOTS.
-        for round in 0..5 {
-            std::fs::write(&path, format!("different {round}")).unwrap();
-            cache.quarantine_replay_failure(&key, 5, &format!("reason #{round}"));
+        // Distinct reasons take distinct slots, capped at QUARANTINE_SLOTS:
+        // each round breaks the header CRC field differently, so each
+        // open reports a different checksum mismatch.
+        cache
+            .begin_capture(&key, TraceMeta::new(1, 5))
+            .unwrap()
+            .finish("{}")
+            .unwrap();
+        let valid = std::fs::read(&path).unwrap();
+        for round in 0..5u8 {
+            let mut bad = valid.clone();
+            bad[16] ^= round + 1;
+            std::fs::write(&path, bad).unwrap();
+            assert!(cache.open(&key, 5).is_none());
         }
         assert_eq!(
             count(&qdir),

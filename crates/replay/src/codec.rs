@@ -33,10 +33,10 @@ use std::io::{Read, Write};
 
 use zcomp_isa::error::ZcompError;
 use zcomp_isa::instr::{AccessKind, HeaderMode, Instr};
-use zcomp_isa::integrity::crc32;
 use zcomp_isa::uops::{UopCounts, UopKind};
 use zcomp_sim::engine::PhaseMode;
 use zcomp_sim::SimConfig;
+use zcomp_trace::hash::crc32;
 
 use crate::op::TraceOp;
 use crate::TraceError;

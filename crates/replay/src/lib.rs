@@ -17,8 +17,11 @@
 //!   machine, reproducing the original run's statistics exactly (same op
 //!   stream, same f64 accumulation order, bit-equal results).
 //! * [`cache`] — a content-addressed trace store under `results/traces/`
-//!   keyed by experiment cell and machine-config fingerprint, so sweeps
-//!   can skip straight to replay on a warm cache.
+//!   keyed by experiment cell and machine-config fingerprint.
+//!
+//! Traces are a debugging and differential-test artifact: the sweeps
+//! themselves reuse finished cells from their completion journal, not
+//! from traces.
 //!
 //! # Example
 //!
@@ -43,7 +46,7 @@ pub mod driver;
 pub mod op;
 pub mod recorder;
 
-pub use cache::{CacheMode, TraceCache, TraceKey};
+pub use cache::{TraceCache, TraceKey};
 pub use codec::{config_fingerprint, TraceMeta, TraceReader, TraceWriter, FORMAT_VERSION};
 pub use driver::{replay, replay_file, MeasuredWindow, ReplayOutcome};
 pub use op::TraceOp;

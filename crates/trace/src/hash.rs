@@ -1,0 +1,128 @@
+//! The workspace's one CRC32 and one FNV-1a.
+//!
+//! Both live in this, the lowest crate, so every layer that frames or
+//! names bytes — codec stream sidecars, `.ztrc` chunks, sweep journals,
+//! fleet event lines, `.ztrc` and lease file names, the sweep model
+//! identity — shares one implementation.
+
+const fn make_crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+}
+
+static CRC32_TABLE: [u32; 256] = make_crc32_table();
+
+/// Incremental CRC32 (IEEE 802.3, reflected) state.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Crc32 {
+    /// Starts a fresh checksum.
+    pub fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    /// Folds `bytes` into the running checksum.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 >> 8) ^ CRC32_TABLE[((self.0 ^ b as u32) & 0xFF) as usize];
+        }
+    }
+
+    /// Finalizes and returns the CRC32 value.
+    pub fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+/// One-shot CRC32 of a byte slice.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = Crc32::new();
+    c.update(bytes);
+    c.finish()
+}
+
+/// Incremental 64-bit FNV-1a state.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// Starts from the FNV-1a offset basis.
+    pub fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Folds `bytes` into the running hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything folded in so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64::new()
+    }
+}
+
+/// One-shot 64-bit FNV-1a of a byte slice.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::new();
+    h.update(bytes);
+    h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn crc32_matches_known_vector() {
+        // CRC32("123456789") = 0xCBF43926 — the canonical check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        let mut crc = Crc32::new();
+        crc.update(b"1234");
+        crc.update(b"56789");
+        assert_eq!(crc.finish(), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn fnv1a64_matches_known_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        let mut h = Fnv1a64::new();
+        h.update(b"foo");
+        h.update(b"bar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
+    }
+}

@@ -23,6 +23,9 @@
 //!   stream); the process-wide sink the fabric emits through is gated
 //!   behind the `events` cargo feature, same pattern as the tracer.
 //!
+//! * [`hash`] — the workspace's one CRC32 and one FNV-1a, shared by every
+//!   layer that checksums or names bytes.
+//!
 //! Recorded events export to two formats: Chrome `trace_event` JSON
 //! ([`chrome::export`], loadable in Perfetto / `chrome://tracing`) and a
 //! compact CSV time series of counter samples ([`csv::counter_csv`]).
@@ -35,6 +38,7 @@
 pub mod chrome;
 pub mod csv;
 pub mod events;
+pub mod hash;
 pub mod log;
 pub mod metrics;
 pub mod serve;

@@ -1,20 +1,19 @@
 //! Determinism guard for the trace capture/replay subsystem.
 //!
-//! The trace cache is only sound if capture is a pure function of the
-//! simulated run: the same configuration captured twice must produce
-//! byte-identical `.ztrc` files, and replaying a capture must reproduce
-//! the original statistics exactly. These tests pin both properties at
-//! integration scale; CI repeats the byte-identity check through the
-//! `capture_run` binary.
+//! `.ztrc` traces are a debugging and differential-test artifact, and
+//! only sound if capture is a pure function of the simulated run: the
+//! same configuration captured twice must produce byte-identical files —
+//! whether cells are captured serially or across threads — and replaying
+//! a capture must reproduce the original statistics exactly. These tests
+//! pin both properties at integration scale.
 
 use std::path::Path;
 
-use zcomp::experiments::fig12;
-use zcomp::sweep::SweepOpts;
+use zcomp::sweep::run_sharded;
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::nnz::nnz_synthetic;
 use zcomp_kernels::relu::{run_relu, ReluOpts, ReluScheme};
-use zcomp_replay::{replay_file, CaptureSession, TraceMeta};
+use zcomp_replay::{config_fingerprint, replay_file, CaptureSession, TraceMeta};
 use zcomp_sim::config::SimConfig;
 use zcomp_sim::engine::Machine;
 
@@ -67,35 +66,51 @@ fn replay_reproduces_the_captured_summary() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Captures one Fig. 12-style cell (DeepBench shape `index`, `scheme`) on
+/// the Table-1 machine into `dir`, under a file named after the cell.
+fn capture_cell(dir: &Path, index: usize, scheme: ReluScheme) {
+    let config = &zcomp_dnn::deepbench::all_configs()[index];
+    let elements = (config.elements / 4096).max(256);
+    let nnz = nnz_synthetic(elements, 0.53, 6.0, 0xF16_5EED ^ ((index as u64) << 8));
+    let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
+    let path = dir.join(format!("{}-{scheme}.ztrc", config.name));
+    let session =
+        CaptureSession::begin(&path, TraceMeta::for_config(machine.config())).expect("begin");
+    machine.set_observer(Some(session.observer()));
+    run_relu(&mut machine, scheme, &nnz, &ReluOpts::default());
+    machine.set_observer(None);
+    session.finish("{}").expect("finish");
+}
+
 #[test]
 fn sweep_cache_directories_are_byte_identical() {
-    let configs = &zcomp_dnn::deepbench::suite_configs(zcomp_dnn::deepbench::Suite::ConvTrain)[..2];
+    let cells: Vec<(usize, ReluScheme)> = (0..2)
+        .flat_map(|i| {
+            [
+                ReluScheme::Avx512Vec,
+                ReluScheme::Avx512Comp,
+                ReluScheme::Zcomp,
+            ]
+            .map(|s| (i, s))
+        })
+        .collect();
     let root_a = tmp("sweep-a");
     let root_b = tmp("sweep-b");
-    let _ = std::fs::remove_dir_all(&root_a);
-    let _ = std::fs::remove_dir_all(&root_b);
-    fig12::run_sweep(
-        configs,
-        4096,
-        0.53,
-        &SweepOpts::serial().with_cache(&root_a),
-    )
-    .expect("serial sweep");
-    fig12::run_sweep(
-        configs,
-        4096,
-        0.53,
-        &SweepOpts::default().with_cache(&root_b).with_threads(4),
-    )
-    .expect("parallel sweep");
+    for root in [&root_a, &root_b] {
+        let _ = std::fs::remove_dir_all(root);
+        std::fs::create_dir_all(root).expect("create cache dir");
+    }
+    for &(index, scheme) in &cells {
+        capture_cell(&root_a, index, scheme);
+    }
+    run_sharded(cells.len(), 4, |i| {
+        capture_cell(&root_b, cells[i].0, cells[i].1)
+    });
 
-    // Only the trace files: the cache root also holds the supervision
-    // journal directory, which is not part of the byte-identity claim.
     let list = |root: &Path| -> Vec<(String, Vec<u8>)> {
         let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(root)
             .expect("read cache dir")
             .map(|e| e.expect("dir entry"))
-            .filter(|e| e.path().extension().is_some_and(|x| x == "ztrc"))
             .map(|e| {
                 (
                     e.file_name().to_string_lossy().into_owned(),
@@ -108,11 +123,22 @@ fn sweep_cache_directories_are_byte_identical() {
     };
     let a = list(&root_a);
     let b = list(&root_b);
-    assert_eq!(a.len(), configs.len() * 3, "one trace per cell");
+    assert_eq!(a.len(), cells.len(), "one trace per cell");
     assert_eq!(
         a, b,
-        "serial and parallel sweeps must capture identical traces"
+        "serial and threaded capture must write identical traces"
     );
+    // Every trace records the Table-1 machine it was captured on.
+    for (name, _) in &a {
+        let reader = zcomp_replay::TraceReader::new(
+            std::fs::File::open(root_a.join(name)).expect("open trace"),
+        )
+        .expect("valid header");
+        assert_eq!(
+            reader.meta().config_hash,
+            config_fingerprint(&SimConfig::table1())
+        );
+    }
     let _ = std::fs::remove_dir_all(&root_a);
     let _ = std::fs::remove_dir_all(&root_b);
 }
