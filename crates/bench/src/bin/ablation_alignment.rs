@@ -3,13 +3,13 @@
 //! sparsity levels and element types.
 
 use zcomp::report::{pct, Table};
-use zcomp_bench::{print_machine, print_table, FigArgs};
+use zcomp_bench::{print_machine, print_table, Args, Flags};
 use zcomp_isa::alignment::analyze_interleaved;
 use zcomp_isa::dtype::ElemType;
 use zcomp_kernels::nnz::nnz_synthetic;
 
 fn main() {
-    let args = FigArgs::from_env();
+    let args = Args::from_env(Flags::Figure);
     print_machine();
     let elements = (4 << 20) / args.scale.max(1);
     let mut table = Table::new(

@@ -5,7 +5,7 @@
 //! simulator substrate.
 
 use zcomp::report::Table;
-use zcomp_bench::{print_machine, print_table, FigArgs};
+use zcomp_bench::{print_machine, print_table, Args, Flags};
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::nnz::nnz_synthetic;
 use zcomp_kernels::relu::{run_relu, ReluOpts, ReluScheme};
@@ -14,7 +14,7 @@ use zcomp_sim::config::SimConfig;
 use zcomp_sim::engine::Machine;
 
 fn main() {
-    let args = FigArgs::from_env();
+    let args = Args::from_env(Flags::Figure);
     print_machine();
     let mut table = Table::new(
         "Ablation: roofline vs interval core model (cycles)",

@@ -2,10 +2,10 @@
 //! including the 3.125% metadata break-even point.
 
 use zcomp::experiments::ablations::{self, HeaderModeResult};
-use zcomp_bench::{print_machine, print_table, FigArgs};
+use zcomp_bench::{print_machine, print_table, Args, Flags};
 
 fn main() {
-    let args = FigArgs::from_env();
+    let args = Args::from_env(Flags::Figure);
     print_machine();
     let elements = (4 << 20) / args.scale.max(1);
     let result = ablations::header_mode(

@@ -2,10 +2,10 @@
 //! reports near-identical performance because operation is
 //! throughput-bound.
 
-use zcomp_bench::{print_machine, print_table, FigArgs};
+use zcomp_bench::{print_machine, print_table, Args, Flags};
 
 fn main() {
-    let args = FigArgs::from_env();
+    let args = Args::from_env(Flags::Figure);
     print_machine();
     let elements = (32 << 20) / args.scale.max(1);
     let result =

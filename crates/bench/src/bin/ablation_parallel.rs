@@ -1,10 +1,10 @@
 //! §4.3 ablation: serialized (Fig. 7(a)) vs partitioned (Fig. 7(b))
 //! parallelization, and sub-block loop unrolling.
 
-use zcomp_bench::{print_machine, print_table, FigArgs};
+use zcomp_bench::{print_machine, print_table, Args, Flags};
 
 fn main() {
-    let args = FigArgs::from_env();
+    let args = Args::from_env(Flags::Figure);
     print_machine();
     let elements = (16 << 20) / args.scale.max(1);
     let result =

@@ -12,11 +12,7 @@ use zcomp::experiments::fault_campaign::{
     run_config_supervised, CampaignConfig, FaultCampaignResult,
 };
 use zcomp::report::pct;
-use zcomp::sweep::SweepOutcome;
-use zcomp_bench::{
-    print_machine, print_table, reap_fabric_workers, report_supervision, spawn_fabric_workers,
-    sweep_error_exit, SupervisedFigArgs,
-};
+use zcomp_bench::{print_machine, print_table, report_supervision, Args, Flags};
 
 #[derive(serde::Serialize)]
 struct Output {
@@ -40,31 +36,25 @@ fn print_summary(label: &str, r: &FaultCampaignResult) {
 }
 
 fn main() {
-    let args = SupervisedFigArgs::from_env();
+    let args = Args::from_env(Flags::Supervised);
     print_machine();
-    let cfg = CampaignConfig::default_scaled(args.fig.scale);
-    let opts = args.sweep_opts();
-    let siblings = spawn_fabric_workers(&args.run);
+    let cfg = CampaignConfig::default_scaled(args.scale);
     // The two policies share the fabric directory safely: cell keys name
     // the policy and each campaign's journal fingerprint covers its
     // whole configuration.
-    let run = |cfg: &CampaignConfig| -> SweepOutcome<FaultCampaignResult> {
-        run_config_supervised(cfg, &opts).unwrap_or_else(|e| {
-            sweep_error_exit(&e);
-        })
-    };
-    let strong_out = run(&cfg);
-    let weak_out = run(&cfg.clone().weak_policy());
-    reap_fabric_workers(siblings);
+    let (strong_out, weak_out) = args.run(|opts| {
+        Ok((
+            run_config_supervised(&cfg, opts)?,
+            run_config_supervised(&cfg.clone().weak_policy(), opts)?,
+        ))
+    });
     let (strong, weak) = (strong_out.result, weak_out.result);
     print_table(&strong.table());
     print_summary("separate headers + CRC32 (strong)", &strong);
     print_table(&weak.table());
     print_summary("interleaved, no checksum (weak)", &weak);
-    args.fig.save_json(&Output { strong, weak });
+    args.save_json(&Output { strong, weak });
     let code =
         report_supervision(&strong_out.supervision).max(report_supervision(&weak_out.supervision));
-    if code != 0 {
-        std::process::exit(code);
-    }
+    std::process::exit(code);
 }

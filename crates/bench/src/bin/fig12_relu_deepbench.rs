@@ -2,26 +2,33 @@
 //! shapes — core↔cache traffic (a), DRAM traffic (b) and runtime (c) for
 //! avx512-vec, avx512-comp and zcomp. Also prints the §3.3 L2-prefetcher
 //! effectiveness observed during the zcomp runs.
+//!
+//! Cells run under the supervised runtime: a cell that keeps panicking
+//! (or exceeds `--deadline-ms`) is quarantined and reported, and the exit
+//! code is 3. With `--traces DIR` the sweep journals every completed
+//! cell under `DIR` and restores the cells the journal already holds —
+//! same cell, same machine config, same executable — so a rerun executes
+//! nothing and writes byte-identical `--json`, and a killed run continues
+//! where it stopped; `--refresh` recomputes every cell. With
+//! `--fabric-dir` (and `--workers N`) the sweep runs on the crash-safe
+//! multi-process lease fabric; a drained worker exits with code 4.
+//!
+//! ```text
+//! fig12_relu_deepbench [--quick|--scale N] [--json PATH] [--quiet]
+//!     [--threads N] [--traces DIR] [--refresh] [--resume] [--attempts N]
+//!     [--deadline-ms MS] [--fabric-dir DIR] [--worker-id ID]
+//!     [--lease-ttl-ms MS] [--workers N]
+//! ```
 
 use zcomp::experiments::fig12::{self, Panel};
 use zcomp::report::pct;
-use zcomp_bench::{
-    print_machine, print_table, reap_fabric_workers, report_supervision, spawn_fabric_workers,
-    sweep_error_exit, SupervisedFigArgs,
-};
+use zcomp_bench::{print_machine, print_table, report_supervision, Args, Flags};
 use zcomp_dnn::deepbench::{all_configs, Suite};
 
 fn main() {
-    let args = SupervisedFigArgs::from_env();
+    let args = Args::from_env(Flags::Cached);
     print_machine();
-    // Supervised serial sweep (no cache): identical numbers to the plain
-    // runner, but a panicking cell is quarantined instead of fatal. The
-    // shared run flags apply — `--fabric-dir`/`--workers` put the sweep
-    // on the multi-process lease fabric.
-    let siblings = spawn_fabric_workers(&args.run);
-    let out = fig12::run_sweep(&all_configs(), args.fig.scale, 0.53, &args.sweep_opts())
-        .unwrap_or_else(|e| sweep_error_exit(&e));
-    reap_fabric_workers(siblings);
+    let out = args.run(|opts| fig12::run_sweep(&all_configs(), args.scale, 0.53, opts));
     let result = out.result;
     for panel in [Panel::CoreTraffic, Panel::DramTraffic, Panel::Runtime] {
         print_table(&result.table(panel));
@@ -64,9 +71,6 @@ fn main() {
         pct(result.zcomp_prefetch.accuracy()),
         pct(result.zcomp_prefetch.coverage())
     );
-    args.fig.save_json(&result);
-    let code = report_supervision(&out.supervision);
-    if code != 0 {
-        std::process::exit(code);
-    }
+    args.save_json(&result);
+    std::process::exit(report_supervision(&out.supervision));
 }

@@ -1,20 +1,16 @@
 //! Regenerates Figure 14: full-network speedup over the uncompressed
 //! baseline for training and inference. Cells run under the supervised
 //! runtime; a sick cell is quarantined (exit 3) instead of taking the
-//! figure down.
+//! figure down. The flags are `fig12_relu_deepbench`'s: `--traces DIR`
+//! journals and restores cells, `--fabric-dir` runs the sweep on the
+//! multi-process lease fabric.
 
-use zcomp_bench::{
-    print_machine, print_table, reap_fabric_workers, report_supervision, spawn_fabric_workers,
-    sweep_error_exit, SupervisedFigArgs,
-};
+use zcomp_bench::{print_machine, print_table, report_supervision, Args, Flags};
 
 fn main() {
-    let args = SupervisedFigArgs::from_env();
+    let args = Args::from_env(Flags::Cached);
     print_machine();
-    let siblings = spawn_fabric_workers(&args.run);
-    let out = zcomp::experiments::fullnet::run_sweep(args.fig.scale, &args.sweep_opts())
-        .unwrap_or_else(|e| sweep_error_exit(&e));
-    reap_fabric_workers(siblings);
+    let out = args.run(|opts| zcomp::experiments::fullnet::run_sweep(args.scale, opts));
     let result = out.result;
     print_table(&result.table_speedup());
     let s = result.summary();
@@ -31,9 +27,6 @@ fn main() {
         "avx512-comp slowdowns: {}/10 benchmarks (paper: 5/10)",
         s.avx_slowdowns
     );
-    args.fig.save_json(&result);
-    let code = report_supervision(&out.supervision);
-    if code != 0 {
-        std::process::exit(code);
-    }
+    args.save_json(&result);
+    std::process::exit(report_supervision(&out.supervision));
 }

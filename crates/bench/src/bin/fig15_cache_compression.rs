@@ -2,10 +2,10 @@
 //! (LimitCC upper bound and practical TwoTagCC, both FPC-D based) on
 //! random feature-map snapshots of the five networks.
 
-use zcomp_bench::{print_machine, print_table, FigArgs};
+use zcomp_bench::{print_machine, print_table, Args, Flags};
 
 fn main() {
-    let args = FigArgs::from_env();
+    let args = Args::from_env(Flags::Figure);
     print_machine();
     let elements = (4 << 20) / args.scale.max(1);
     let result = zcomp::experiments::fig15::run(5, elements.max(16 * 1024));

@@ -43,86 +43,9 @@ use zcomp::experiments::serve::{run, run_sweep, ServeGridSpec, ServeResult};
 use zcomp::experiments::serve_chaos::{self, ChaosGridSpec, ChaosResult};
 use zcomp::serve::determinism::require_byte_identical;
 use zcomp::serve::slo::SloClass;
-use zcomp::sweep::SweepOpts;
 use zcomp_bench::{
-    print_machine, print_table, reap_fabric_workers, report_supervision, save_json,
-    spawn_fabric_workers, sweep_error_exit, RunFlags,
+    print_machine, print_table, report_supervision, save_json, value_of, Args, Flags,
 };
-
-struct Args {
-    scale: usize,
-    threads: usize,
-    json: Option<String>,
-    bench: Option<String>,
-    smoke: bool,
-    chaos: bool,
-    quiet: bool,
-    run: RunFlags,
-}
-
-fn usage_exit(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!(
-        "usage: serve_run [--smoke] [--chaos] [--quick|--scale N] [--threads N] \
-         [--json PATH] [--bench PATH] [--quiet], {}",
-        RunFlags::USAGE
-    );
-    exit(2);
-}
-
-fn value_of(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    it.next()
-        .unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, text: &str) -> T {
-    text.parse()
-        .unwrap_or_else(|_| usage_exit(&format!("{flag}: invalid number {text:?}")))
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        scale: 1,
-        threads: 0,
-        json: None,
-        bench: None,
-        smoke: false,
-        chaos: false,
-        quiet: false,
-        run: RunFlags::default(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match out.run.accept(&arg, &mut it) {
-            Ok(true) => continue,
-            Ok(false) => {}
-            Err(e) => usage_exit(&e.to_string()),
-        }
-        match arg.as_str() {
-            "--quick" => out.scale = 64,
-            "--scale" => {
-                out.scale = parse_num("--scale", &value_of(&mut it, "--scale"));
-                if out.scale < 1 {
-                    usage_exit("--scale must be >= 1");
-                }
-            }
-            "--threads" => out.threads = parse_num("--threads", &value_of(&mut it, "--threads")),
-            "--json" => out.json = Some(value_of(&mut it, "--json")),
-            "--bench" => out.bench = Some(value_of(&mut it, "--bench")),
-            "--smoke" => out.smoke = true,
-            "--chaos" => out.chaos = true,
-            "--quiet" => out.quiet = true,
-            other => usage_exit(&format!("unknown argument: {other}")),
-        }
-    }
-    if out.run.workers > 1 && out.run.fabric_dir.is_none() {
-        usage_exit("--workers needs --fabric-dir");
-    }
-    if out.quiet {
-        zcomp_trace::log::set_level(zcomp_trace::log::Level::Off);
-    }
-    out
-}
 
 /// The `BENCH_serve.json` record: the knee QPS pair per network.
 #[derive(Serialize)]
@@ -315,7 +238,7 @@ fn smoke() -> ! {
     exit(0);
 }
 
-fn chaos_main(args: &Args, threads: usize) -> ! {
+fn chaos_main(args: &Args, bench: Option<&str>, threads: usize) -> ! {
     let grid = ChaosGridSpec::default_grid().scaled(args.scale);
     println!(
         "chaos sweep: {} fault rates x {} modes + 2 knee cells, {} tenants, {} arrivals/tenant, {} threads",
@@ -325,16 +248,7 @@ fn chaos_main(args: &Args, threads: usize) -> ! {
         grid.params.arrivals_per_tenant,
         threads
     );
-    let opts = args.run.apply(SweepOpts::default().with_threads(threads));
-    let siblings = spawn_fabric_workers(&args.run);
-    let out = match serve_chaos::run_sweep(&grid, &opts) {
-        Ok(out) => out,
-        Err(e) => {
-            reap_fabric_workers(siblings);
-            sweep_error_exit(&e);
-        }
-    };
-    reap_fabric_workers(siblings);
+    let out = args.run(|opts| serve_chaos::run_sweep(&grid, opts));
 
     print_table(&out.result.table());
     print_table(&out.result.autoscale_table());
@@ -345,28 +259,32 @@ fn chaos_main(args: &Args, threads: usize) -> ! {
     } else {
         println!("warning: degrade policy did not dominate hard-fail on this grid");
     }
-    if let Some(path) = &args.json {
-        save_json(path, &out.result);
-    }
-    if let Some(path) = &args.bench {
+    args.save_json(&out.result);
+    if let Some(path) = bench {
         save_json(path, &chaos_bench_record(&out.result, args.scale));
     }
     exit(report_supervision(&out.supervision));
 }
 
 fn main() {
-    let args = parse_args();
-    if args.smoke {
+    // This binary's own flags, parsed around the shared command line.
+    let (mut gate, mut chaos, mut bench) = (false, false, None);
+    let args = Args::from_env_with(Flags::Threaded, |arg, it| {
+        match arg {
+            "--smoke" => gate = true,
+            "--chaos" => chaos = true,
+            "--bench" => bench = Some(value_of(it, "--bench")?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    if gate {
         smoke();
     }
     print_machine();
-    let threads = if args.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        args.threads
-    };
-    if args.chaos {
-        chaos_main(&args, threads);
+    let threads = args.sweep_opts().threads;
+    if chaos {
+        chaos_main(&args, bench.as_deref(), threads);
     }
     let grid = ServeGridSpec::default_grid().scaled(args.scale);
     println!(
@@ -376,16 +294,7 @@ fn main() {
         grid.params.arrivals_per_tenant,
         threads
     );
-    let opts = args.run.apply(SweepOpts::default().with_threads(threads));
-    let siblings = spawn_fabric_workers(&args.run);
-    let out = match run_sweep(&grid, &opts) {
-        Ok(out) => out,
-        Err(e) => {
-            reap_fabric_workers(siblings);
-            sweep_error_exit(&e);
-        }
-    };
-    reap_fabric_workers(siblings);
+    let out = args.run(|opts| run_sweep(&grid, opts));
 
     print_table(&out.result.table());
     for row in &out.result.rows {
@@ -402,10 +311,8 @@ fn main() {
     } else {
         println!("warning: compressed knee did not beat uncompressed on every network");
     }
-    if let Some(path) = &args.json {
-        save_json(path, &out.result);
-    }
-    if let Some(path) = &args.bench {
+    args.save_json(&out.result);
+    if let Some(path) = &bench {
         save_json(path, &bench_record(&out.result, args.scale));
     }
     exit(report_supervision(&out.supervision));

@@ -1,29 +1,36 @@
 //! Extension sweep: thread-count scalability of the three ReLU schemes
 //! (§4.3's partitioned-parallelization scaling argument). Each thread
 //! count simulates as a supervised cell; quarantined points are omitted
-//! from the table and reported on stderr (exit 3).
+//! from the table and reported on stderr (exit 3). The supervised-run
+//! flags (`--attempts`, `--deadline-ms`, `--fabric-dir`) apply.
 
 use zcomp::experiments::thread_sweep::{self, ThreadSweepResult};
-use zcomp_bench::{print_machine, print_table, run_supervised, FigArgs};
+use zcomp::sweep::run_cells;
+use zcomp_bench::{print_machine, print_table, report_supervision, Args, Flags};
 
 const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
 fn main() {
-    let args = FigArgs::from_env();
+    let args = Args::from_env(Flags::Supervised);
     print_machine();
     let elements = ((16 << 20) / args.scale.max(1)).max(128 * 1024);
-    let (outcomes, code) = run_supervised(
-        "sweep_threads",
-        THREAD_COUNTS.len(),
-        |i| format!("elements={elements};threads={}", THREAD_COUNTS[i]),
-        |i| {
-            let threads = THREAD_COUNTS[i];
-            Box::new(move || thread_sweep::run(elements, &[threads]).points)
-        },
-    );
+    let run = args.run(|opts| {
+        run_cells(
+            "sweep_threads",
+            THREAD_COUNTS.len(),
+            opts.fingerprint(0),
+            opts,
+            |i| format!("elements={elements};threads={}", THREAD_COUNTS[i]),
+            |i| {
+                let threads = THREAD_COUNTS[i];
+                Box::new(move || thread_sweep::run(elements, &[threads]).points)
+            },
+        )
+    });
     let result = ThreadSweepResult {
         elements,
-        points: outcomes
+        points: run
+            .outcomes
             .iter()
             .filter_map(|o| o.value())
             .flat_map(|points| points.iter().copied())
@@ -31,7 +38,5 @@ fn main() {
     };
     print_table(&result.table());
     args.save_json(&result);
-    if code != 0 {
-        std::process::exit(code);
-    }
+    std::process::exit(report_supervision(&run.report));
 }

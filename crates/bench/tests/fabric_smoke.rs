@@ -1,6 +1,6 @@
 //! Kill-mid-sweep integration tests for the multi-process sweep fabric.
 //!
-//! Drives the real `capture_run` binary. A 1-worker fabric-less run
+//! Drives the real `fig12_relu_deepbench` binary. A 1-worker fabric-less run
 //! produces the reference JSON report; then three workers share one
 //! fabric directory, one of them is SIGKILLed mid-sweep, and the
 //! survivors must reclaim its leased cells and produce a merged report
@@ -20,12 +20,9 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn base_cmd(traces: &Path, json: Option<&Path>) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_capture_run"));
-    cmd.arg("fig12")
-        .args(["--scale", SCALE, "--threads", "2", "--quiet"])
-        .arg("--traces")
-        .arg(traces);
+fn base_cmd(json: Option<&Path>) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig12_relu_deepbench"));
+    cmd.args(["--scale", SCALE, "--threads", "2", "--quiet"]);
     if let Some(json) = json {
         cmd.arg("--json").arg(json);
     }
@@ -35,8 +32,8 @@ fn base_cmd(traces: &Path, json: Option<&Path>) -> Command {
 
 /// A fabric worker command. All manually-spawned workers pass `--resume`
 /// so none of them wipes the (shared, already fresh) fabric directory.
-fn worker_cmd(fabric: &Path, traces: &Path, json: Option<&Path>, worker: &str) -> Command {
-    let mut cmd = base_cmd(traces, json);
+fn worker_cmd(fabric: &Path, json: Option<&Path>, worker: &str) -> Command {
+    let mut cmd = base_cmd(json);
     cmd.arg("--resume")
         .args(["--lease-ttl-ms", "500"])
         .arg("--fabric-dir")
@@ -47,9 +44,9 @@ fn worker_cmd(fabric: &Path, traces: &Path, json: Option<&Path>, worker: &str) -
 
 fn reference_report(dir: &Path) -> Vec<u8> {
     let json = dir.join("reference.json");
-    let status = base_cmd(&dir.join("ref-traces"), Some(&json))
+    let status = base_cmd(Some(&json))
         .status()
-        .expect("spawn reference capture_run");
+        .expect("spawn reference fig12_relu_deepbench");
     assert!(status.success(), "reference run failed: {status}");
     let bytes = std::fs::read(&json).expect("reference json");
     assert!(!bytes.is_empty());
@@ -84,17 +81,12 @@ fn survivors_reclaim_a_sigkilled_workers_cells_and_merge_byte_identically() {
     for attempt in 0..5u64 {
         let fabric = dir.join(format!("fabric-{attempt}"));
         let json = dir.join(format!("merged-{attempt}.json"));
-        let traces = |w: &str| dir.join(format!("traces-{attempt}-{w}"));
 
-        let mut w1 = worker_cmd(&fabric, &traces("w1"), Some(&json), "w1")
+        let mut w1 = worker_cmd(&fabric, Some(&json), "w1")
             .spawn()
             .expect("spawn w1");
-        let mut victim = worker_cmd(&fabric, &traces("w2"), None, "w2")
-            .spawn()
-            .expect("spawn w2");
-        let mut w3 = worker_cmd(&fabric, &traces("w3"), None, "w3")
-            .spawn()
-            .expect("spawn w3");
+        let mut victim = worker_cmd(&fabric, None, "w2").spawn().expect("spawn w2");
+        let mut w3 = worker_cmd(&fabric, None, "w3").spawn().expect("spawn w3");
 
         std::thread::sleep(Duration::from_millis(40 + 60 * attempt));
         let victim_was_running = matches!(victim.try_wait(), Ok(None));
@@ -139,11 +131,13 @@ fn the_workers_spawner_runs_siblings_and_resets_a_stale_fabric_dir() {
         .expect("write stale journal");
 
     let json = dir.join("merged.json");
-    let mut cmd = base_cmd(&dir.join("traces"), Some(&json));
+    let mut cmd = base_cmd(Some(&json));
     cmd.arg("--fabric-dir")
         .arg(&fabric)
         .args(["--workers", "3", "--lease-ttl-ms", "2000"]);
-    let status = cmd.status().expect("spawn capture_run --workers 3");
+    let status = cmd
+        .status()
+        .expect("spawn fig12_relu_deepbench --workers 3");
     assert!(status.success(), "spawner run failed: {status}");
 
     let merged = std::fs::read(&json).expect("merged json");

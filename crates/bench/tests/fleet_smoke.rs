@@ -5,7 +5,7 @@
 //! the real `fabric_top` / `fleet_report` binaries over it — including a
 //! stream whose tail is torn mid-write, the on-disk signature of a
 //! SIGKILLed worker. The `events`-gated test runs the real thing: three
-//! `capture_run` fabric workers, one SIGKILLed mid-sweep, and checks the
+//! `fig12_relu_deepbench` fabric workers, one SIGKILLed mid-sweep, and checks the
 //! dashboard JSON and the merged Perfetto timeline stay consistent with
 //! the journalled truth.
 
@@ -13,9 +13,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use zcomp::fabric::FabricCellPayload;
 use zcomp::fleet::FleetStatus;
-use zcomp::supervise::Journal;
+use zcomp::supervise::{CellOutcome, Journal};
 use zcomp_trace::chrome;
 use zcomp_trace::events::{EventStream, FleetEvent, STREAM_VERSION};
 use zcomp_trace::metrics::MetricsDelta;
@@ -101,11 +100,11 @@ fn synthetic_fabric(root: &Path) {
             .commit_fenced(
                 cell.to_string(),
                 9,
-                serde_json::to_string(&FabricCellPayload::Completed {
+                CellOutcome::Completed {
+                    value: 1u64,
                     attempts: 1,
-                    value: "1".to_string(),
-                })
-                .expect("payload"),
+                }
+                .to_payload(),
                 worker.to_string(),
                 1,
             )
@@ -216,11 +215,8 @@ fn killed_worker_fleet_stays_consistent_end_to_end() {
     use std::time::Duration;
     let dir = tmp_dir("e2e");
     let worker_cmd = |fabric: &Path, worker: &str| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_capture_run"));
-        cmd.arg("fig12")
-            .args(["--scale", "2048", "--threads", "2", "--quiet", "--resume"])
-            .arg("--traces")
-            .arg(dir.join(format!("traces-{worker}")))
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig12_relu_deepbench"));
+        cmd.args(["--scale", "2048", "--threads", "2", "--quiet", "--resume"])
             .args(["--lease-ttl-ms", "500"])
             .arg("--fabric-dir")
             .arg(fabric)

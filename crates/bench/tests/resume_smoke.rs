@@ -1,11 +1,12 @@
 //! Kill-mid-sweep integration test for crash-safe checkpoint–resume.
 //!
-//! Drives the real `capture_run` binary: one uninterrupted run produces
-//! the reference JSON report; a second run is SIGKILLed mid-sweep and then
-//! continued with `--resume`. The resumed run must exit cleanly and its
-//! report must be byte-for-byte identical to the uninterrupted one — the
-//! journal restores completed cells exactly, and the JSON carries only the
-//! scientific result, never "how we got there".
+//! Drives the real `fig12_relu_deepbench` binary over a cache root: one
+//! uninterrupted run produces the reference JSON report; a second run is
+//! SIGKILLed mid-sweep and then simply rerun over the same root. The
+//! rerun must exit cleanly and its report must be byte-for-byte identical
+//! to the uninterrupted one — the journal restores completed cells
+//! exactly, and the JSON carries only the scientific result, never "how
+//! we got there".
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -20,17 +21,13 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn capture_cmd(traces: &Path, json: &Path, resume: bool) -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_capture_run"));
-    cmd.arg("fig12")
-        .args(["--scale", SCALE, "--threads", "2", "--quiet"])
+fn fig12_cmd(traces: &Path, json: &Path) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fig12_relu_deepbench"));
+    cmd.args(["--scale", SCALE, "--threads", "2", "--quiet"])
         .arg("--traces")
         .arg(traces)
         .arg("--json")
         .arg(json);
-    if resume {
-        cmd.arg("--resume");
-    }
     cmd.stdout(Stdio::null()).stderr(Stdio::null());
     cmd
 }
@@ -51,9 +48,9 @@ fn resumed_run_reproduces_the_uninterrupted_report_byte_for_byte() {
     let resumed_json = dir.join("resumed.json");
 
     // Reference: one uninterrupted run.
-    let status = capture_cmd(&dir.join("ref-traces"), &reference_json, false)
+    let status = fig12_cmd(&dir.join("ref-traces"), &reference_json)
         .status()
-        .expect("spawn capture_run");
+        .expect("spawn fig12_relu_deepbench");
     assert!(status.success(), "uninterrupted run failed: {status}");
     let reference = std::fs::read(&reference_json).expect("reference json");
     assert!(!reference.is_empty());
@@ -66,14 +63,14 @@ fn resumed_run_reproduces_the_uninterrupted_report_byte_for_byte() {
     for attempt in 0..4u64 {
         let _ = std::fs::remove_dir_all(&traces);
         let _ = std::fs::remove_file(&resumed_json);
-        let child = capture_cmd(&traces, &resumed_json, false)
+        let child = fig12_cmd(&traces, &resumed_json)
             .spawn()
-            .expect("spawn capture_run");
+            .expect("spawn fig12_relu_deepbench");
         interrupted_midway |= kill_after(child, Duration::from_millis(30 + 60 * attempt));
 
-        let status = capture_cmd(&traces, &resumed_json, true)
+        let status = fig12_cmd(&traces, &resumed_json)
             .status()
-            .expect("spawn resume");
+            .expect("spawn rerun");
         assert!(status.success(), "resume run failed: {status}");
         let resumed = std::fs::read(&resumed_json).expect("resumed json");
         assert_eq!(
@@ -98,9 +95,10 @@ fn resumed_run_reproduces_the_uninterrupted_report_byte_for_byte() {
 fn resume_with_empty_journal_is_a_full_run() {
     let dir = tmp_dir("fresh");
     let json = dir.join("out.json");
-    let status = capture_cmd(&dir.join("traces"), &json, true)
+    let status = fig12_cmd(&dir.join("traces"), &json)
+        .arg("--resume")
         .status()
-        .expect("spawn capture_run --resume");
+        .expect("spawn fig12_relu_deepbench --resume");
     assert!(status.success(), "fresh --resume run failed: {status}");
     assert!(json.exists());
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,10 +1,12 @@
 //! Crash-safe multi-process sweep fabric: a coordinator-less, file-locked
 //! work queue layered over a shared directory tree.
 //!
-//! PR-5 supervision made a *single process* survive panics, hangs and
-//! SIGKILL. The fabric generalizes that discipline to *many cooperating
-//! worker processes* sharing one filesystem, with no coordinator and no
-//! IPC beyond atomic filesystem operations:
+//! The fabric is not a second executor. [`run_cells`](crate::sweep::run_cells)
+//! runs one loop — restore from the journal view, execute the rest,
+//! commit, report — and with [`SweepOpts::fabric`](crate::sweep::SweepOpts)
+//! set it joins the fabric as a `Member`, which adds only what many
+//! cooperating worker processes sharing one filesystem need, with no
+//! coordinator and no IPC beyond atomic filesystem operations:
 //!
 //! * **Leases** — each sweep cell maps to one lease file under
 //!   `<dir>/<experiment>/leases/`, claimed via atomic create
@@ -24,23 +26,24 @@
 //! * **Journals** — each worker commits to its own CRC-guarded JSONL
 //!   journal (`journal.<worker>.jsonl`, tmp + atomic rename), so no two
 //!   processes ever write one file. The merged view across all journals
-//!   is what defines sweep completion.
+//!   is the journal view the loop restores from, and what defines sweep
+//!   completion. Quarantines are journalled too, so peers never re-run
+//!   a poisoned cell.
 //! * **Drain** — SIGTERM/SIGINT set a drain flag: workers stop claiming,
 //!   release unexecuted leases as `.released` tombstones, and exit with
 //!   a typed [`SweepError::FabricDrained`] so a supervisor can resume
 //!   the fabric later without losing completed cells.
-//! * **Deterministic merge** — once every cell is journalled, each
-//!   worker reconstructs the outcome vector in index order from the
-//!   merged view, so the final report is byte-identical to a 1-worker
-//!   (or plain single-process) run regardless of worker count, crash
-//!   history, or scheduling.
+//!
+//! A local run takes no leases: it is the lone worker of its journal, and
+//! a SIGKILLed local run's live leases would only make its rerun wait
+//! out the TTL.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{mpsc, Arc, Mutex, Once, OnceLock};
 use std::time::{Duration, SystemTime};
 
 use serde::{Deserialize, Serialize};
@@ -48,8 +51,8 @@ use zcomp_trace::events::{self, FleetEvent};
 use zcomp_trace::log_warn;
 use zcomp_trace::metrics::{Histogram, MetricsRegistry};
 
-use crate::supervise::{CellFailure, CellOutcome, FailureReason, Journal, JournalEntry};
-use crate::sweep::{run_sharded, CellsRun, SupervisionReport, SweepError, SweepOpts};
+use crate::supervise::{CellOutcome, Journal, JournalEntry};
+use crate::sweep::SweepError;
 
 /// Fabric participation policy of one worker process.
 #[derive(Debug, Clone)]
@@ -97,6 +100,11 @@ impl FabricOpts {
     pub fn with_poll(mut self, poll: Duration) -> FabricOpts {
         self.poll = poll.max(Duration::from_millis(1));
         self
+    }
+
+    /// This worker's own journal file within an experiment's directory.
+    pub(crate) fn journal_file(&self) -> String {
+        format!("journal.{}.jsonl", sanitize_worker(&self.worker))
     }
 }
 
@@ -545,9 +553,10 @@ impl FabricCounters {
 /// so a healthy worker's leases never expire no matter how long a cell
 /// takes. An optional `on_beat` callback runs once per beat — the event
 /// stream uses it to emit heartbeat records with metrics deltas.
+/// Dropping the heartbeat wakes the thread at once and joins it.
 struct Heartbeat {
     registry: Arc<Mutex<HashMap<u64, Lease>>>,
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -558,22 +567,14 @@ impl Heartbeat {
         mut on_beat: Option<Box<dyn FnMut() + Send>>,
     ) -> Heartbeat {
         let registry: Arc<Mutex<HashMap<u64, Lease>>> = Arc::new(Mutex::new(HashMap::new()));
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel::<()>();
         let interval = (ttl / 4).max(Duration::from_millis(2));
         let thread_registry = Arc::clone(&registry);
-        let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("zcomp-fabric-heartbeat".to_string())
             .spawn(move || {
-                let step = interval.min(Duration::from_millis(20));
-                let mut elapsed = Duration::ZERO;
-                while !thread_stop.load(Ordering::SeqCst) {
-                    std::thread::sleep(step);
-                    elapsed += step;
-                    if elapsed < interval {
-                        continue;
-                    }
-                    elapsed = Duration::ZERO;
+                // Ends as soon as the sender is dropped.
+                while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
                     let held: Vec<(u64, Lease)> = {
                         let reg = thread_registry.lock().unwrap_or_else(|p| p.into_inner());
                         reg.iter().map(|(h, l)| (*h, l.clone())).collect()
@@ -589,7 +590,7 @@ impl Heartbeat {
             .ok();
         Heartbeat {
             registry,
-            stop,
+            stop: Some(stop),
             handle,
         }
     }
@@ -607,9 +608,11 @@ impl Heartbeat {
             .unwrap_or_else(|p| p.into_inner())
             .remove(&hash);
     }
+}
 
-    fn stop(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+impl Drop for Heartbeat {
+    fn drop(&mut self) {
+        drop(self.stop.take());
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -617,26 +620,8 @@ impl Heartbeat {
 }
 
 // ---------------------------------------------------------------------------
-// Journal payloads and the merged view
+// The merged journal view
 // ---------------------------------------------------------------------------
-
-/// What a fabric journal record's payload holds: either the completed
-/// cell value (pre-serialized, with the attempts it consumed) or a
-/// terminal quarantine. Quarantines are journalled too — otherwise
-/// surviving workers would reclaim and re-execute a poisoned cell
-/// forever.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum FabricCellPayload {
-    /// The cell completed; `value` is the result's JSON document.
-    Completed {
-        /// Attempts the executing worker consumed.
-        attempts: u32,
-        /// The serialized cell result.
-        value: String,
-    },
-    /// The cell exhausted its attempt budget on the executing worker.
-    Quarantined(CellFailure),
-}
 
 /// Loads every per-worker journal under `dir` and keeps, per cell, the
 /// record with the highest `(token, worker)` — the fencing order. Extra
@@ -685,372 +670,286 @@ fn merged_view(
     Ok(view)
 }
 
-/// Serializes a supervised outcome into a fabric journal payload.
-fn fabric_payload<T: Serialize>(index: usize, cell: &str, outcome: &CellOutcome<T>) -> String {
-    let payload = match outcome {
-        CellOutcome::Completed { value, attempts } => match serde_json::to_string(value) {
-            Ok(value) => FabricCellPayload::Completed {
-                attempts: *attempts,
-                value,
-            },
-            // An unserializable result can never reach the merged view;
-            // journal it as a terminal quarantine so the fabric cannot
-            // livelock re-executing it.
-            Err(e) => FabricCellPayload::Quarantined(CellFailure {
-                index,
-                cell: cell.to_string(),
-                attempts: *attempts,
-                reason: FailureReason::Panicked {
-                    message: format!("result does not serialize: {e}"),
-                },
-            }),
-        },
-        CellOutcome::Quarantined(failure) => FabricCellPayload::Quarantined(failure.clone()),
-    };
-    serde_json::to_string(&payload).expect("fabric payload serializes")
-}
-
-/// Decodes one merged journal entry back into a cell outcome.
-/// `ran_here` keeps the executing worker's attempt count; every other
-/// worker sees the cell as journal-restored (attempts 0), mirroring the
-/// single-process resume semantics.
-fn decode_cell<T: Deserialize>(
-    index: usize,
-    cell: &str,
-    entry: &JournalEntry,
-    ran_here: bool,
-) -> CellOutcome<T> {
-    let broken = |message: String| {
-        CellOutcome::Quarantined(CellFailure {
-            index,
-            cell: cell.to_string(),
-            attempts: 0,
-            reason: FailureReason::Panicked { message },
-        })
-    };
-    match serde_json::from_str::<FabricCellPayload>(&entry.payload) {
-        Ok(FabricCellPayload::Completed { attempts, value }) => {
-            match serde_json::from_str::<T>(&value) {
-                Ok(value) => CellOutcome::Completed {
-                    value,
-                    attempts: if ran_here { attempts } else { 0 },
-                },
-                Err(e) => broken(format!("journalled value does not decode: {e}")),
-            }
-        }
-        Ok(FabricCellPayload::Quarantined(failure)) => CellOutcome::Quarantined(failure),
-        Err(e) => broken(format!("journalled payload does not decode: {e}")),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// The fabric executor
+// Fabric membership
 // ---------------------------------------------------------------------------
 
-/// Runs `items` cells as one worker of a multi-process fabric rooted at
-/// [`FabricOpts::dir`]. Called by
-/// [`run_cells`](crate::sweep::run_cells) when [`SweepOpts::fabric`] is
-/// set; see the module docs for the protocol.
-pub(crate) fn run_fabric<T, K, J>(
-    experiment: &str,
-    items: usize,
+/// What [`run_cells`](crate::sweep::run_cells) adds around each cell when
+/// [`SweepOpts::fabric`](crate::sweep::SweepOpts) is set: the lease claim
+/// before it, the fence check and mark-done around its commit, plus the
+/// heartbeat, drain and event stream. Everything else — restore, execute,
+/// commit, report — is the same loop a local run takes.
+pub(crate) struct Member<'a> {
+    opts: &'a FabricOpts,
     fingerprint: u32,
-    opts: &SweepOpts,
-    key_of: K,
-    make_job: J,
-) -> Result<CellsRun<T>, SweepError>
-where
-    T: Serialize + Deserialize + Send + 'static,
-    K: Fn(usize) -> String + Sync,
-    J: Fn(usize) -> Box<dyn FnOnce() -> T + Send + 'static> + Sync,
-{
-    let fabric = opts.fabric.as_ref().expect("run_fabric needs fabric opts");
-    let dir = fabric.dir.join(experiment);
-    let leases = LeaseDir::open(&dir).map_err(|source| SweepError::Fabric {
-        dir: dir.clone(),
-        source,
-    })?;
-    // Validate the cache root up front, exactly like plain sweeps.
-    opts.validate_root()?;
-    install_drain_handler();
+    dir: PathBuf,
+    leases: LeaseDir,
+    hashes: Vec<u64>,
+    counters: Arc<FabricCounters>,
+    /// Started on the first claim or idle wait, so a call that finds
+    /// every cell journalled spawns no thread.
+    heartbeat: OnceLock<Heartbeat>,
+}
 
-    let worker = fabric.worker.clone();
-    let journal_path = dir.join(format!("journal.{}.jsonl", sanitize_worker(&worker)));
-    // Always *load* (never start fresh): a revived worker must see its
-    // own pre-crash commits, and other workers' journals are merged in
-    // anyway. A fresh fabric run starts from an empty fabric dir — the
-    // spawner (or operator) wipes it.
-    let journal = Journal::load(&journal_path).map_err(|source| SweepError::Journal {
-        path: journal_path.clone(),
-        source,
-    })?;
-    let journal = Mutex::new(journal);
-
-    let keys: Vec<String> = (0..items).map(&key_of).collect();
-    let hashes: Vec<u64> = keys
-        .iter()
-        .map(|k| LeaseDir::hash(experiment, k, fingerprint))
-        .collect();
-
-    let ttl = fabric.lease_ttl;
-    let counters = Arc::new(FabricCounters::default());
-
-    // Arm the per-worker event stream (a no-op refusal when the `events`
-    // feature is off, a warning — never a failure — on I/O trouble:
-    // observability must not kill a sweep).
-    let events_path = dir
-        .join("events")
-        .join(format!("{}.jsonl", sanitize_worker(&worker)));
-    match events::stream_open(&events_path) {
-        Ok(epoch_us) => events::emit(FleetEvent::WorkerStart {
-            worker: worker.clone(),
-            experiment: experiment.to_string(),
-            cells: items as u64,
+impl<'a> Member<'a> {
+    /// Joins the fabric for `experiment`: opens its lease directory,
+    /// installs the drain handler and arms the per-worker event stream.
+    pub(crate) fn join(
+        opts: &'a FabricOpts,
+        experiment: &str,
+        keys: &[String],
+        fingerprint: u32,
+    ) -> Result<Member<'a>, SweepError> {
+        let dir = opts.dir.join(experiment);
+        let leases = LeaseDir::open(&dir).map_err(|source| SweepError::JournalDir {
+            dir: dir.clone(),
+            source,
+        })?;
+        install_drain_handler();
+        // Observability must not kill a sweep: an unavailable stream is a
+        // warning (and a silent no-op without the `events` feature).
+        let events_path = dir
+            .join("events")
+            .join(format!("{}.jsonl", sanitize_worker(&opts.worker)));
+        match events::stream_open(&events_path) {
+            Ok(epoch_us) => events::emit(FleetEvent::WorkerStart {
+                worker: opts.worker.clone(),
+                experiment: experiment.to_string(),
+                cells: keys.len() as u64,
+                fingerprint,
+                lease_ttl_ms: opts.lease_ttl.as_millis() as u64,
+                epoch_us,
+                version: events::STREAM_VERSION,
+            }),
+            Err(e) if e.kind() == io::ErrorKind::Unsupported => {}
+            Err(e) => log_warn!("fabric: event stream unavailable ({e}); continuing without it"),
+        }
+        Ok(Member {
+            opts,
             fingerprint,
-            lease_ttl_ms: ttl.as_millis() as u64,
-            epoch_us,
-            version: events::STREAM_VERSION,
-        }),
-        Err(e) if e.kind() == io::ErrorKind::Unsupported => {}
-        Err(e) => log_warn!("fabric: event stream unavailable ({e}); continuing without it"),
+            hashes: keys
+                .iter()
+                .map(|k| LeaseDir::hash(experiment, k, fingerprint))
+                .collect(),
+            dir,
+            leases,
+            counters: Arc::new(FabricCounters::default()),
+            heartbeat: OnceLock::new(),
+        })
     }
-    let on_beat: Option<Box<dyn FnMut() + Send>> = if events::armed() {
-        let counters = Arc::clone(&counters);
-        let mut prev = MetricsRegistry::new();
-        Some(Box::new(move || {
-            // Emit even when the delta is empty: the beat itself is the
-            // liveness signal readers age against.
-            let cur = counters.registry();
-            events::emit(FleetEvent::Heartbeat {
-                metrics: cur.delta_since(&prev),
-            });
-            prev = cur;
-        }))
-    } else {
-        None
-    };
 
-    let heartbeat = Heartbeat::start(leases.clone(), ttl, on_beat);
-    let ran_by_me: Vec<AtomicBool> = (0..items).map(|_| AtomicBool::new(false)).collect();
+    /// The merged view of every worker's journal, one slot per key.
+    pub(crate) fn view(&self, keys: &[String]) -> Result<Vec<Option<JournalEntry>>, SweepError> {
+        merged_view(&self.dir, keys, self.fingerprint, &self.counters.duplicates)
+    }
 
-    let mut drained = false;
-    loop {
+    fn heartbeat(&self) -> &Heartbeat {
+        self.heartbeat.get_or_init(|| {
+            let on_beat: Option<Box<dyn FnMut() + Send>> = if events::armed() {
+                let counters = Arc::clone(&self.counters);
+                let mut prev = MetricsRegistry::new();
+                Some(Box::new(move || {
+                    // Emit even when the delta is empty: the beat itself
+                    // is the liveness signal readers age against.
+                    let cur = counters.registry();
+                    events::emit(FleetEvent::Heartbeat {
+                        metrics: cur.delta_since(&prev),
+                    });
+                    prev = cur;
+                }))
+            } else {
+                None
+            };
+            Heartbeat::start(self.leases.clone(), self.opts.lease_ttl, on_beat)
+        })
+    }
+
+    /// Claims cell `index`: `None` when a live peer holds it, a drain is
+    /// pending, or the claim failed (it is retried on the next pass).
+    pub(crate) fn claim(&self, index: usize, key: &str) -> Option<Lease> {
         if drain_requested() {
-            drained = true;
-            break;
+            return None;
         }
-        let view = merged_view(&dir, &keys, fingerprint, &counters.duplicates)?;
-        let todo: Vec<usize> = (0..items).filter(|&i| view[i].is_none()).collect();
-        if todo.is_empty() {
-            break;
-        }
-        let progressed = AtomicBool::new(false);
-        run_sharded(todo.len(), opts.threads.max(1), |j| {
-            if drain_requested() {
-                return;
+        let (hash, worker) = (self.hashes[index], &self.opts.worker);
+        let acquire = try_acquire(
+            &self.leases,
+            hash,
+            key,
+            self.fingerprint,
+            worker,
+            self.opts.lease_ttl,
+        );
+        let (lease, reclaimed) = match acquire {
+            Ok(Acquire::Won(lease, reclaimed)) => (lease, reclaimed),
+            Ok(Acquire::Busy) => return None,
+            Err(e) => {
+                log_warn!("fabric: acquiring cell {index} [{key}] failed ({e}); will retry");
+                return None;
             }
-            let index = todo[j];
-            let key = &keys[index];
-            let hash = hashes[index];
-            let acquire = match try_acquire(&leases, hash, key, fingerprint, &worker, ttl) {
-                Ok(acquire) => acquire,
-                Err(e) => {
-                    log_warn!("fabric: acquiring cell {index} [{key}] failed ({e}); will retry");
-                    return;
-                }
-            };
-            let Acquire::Won(lease, was_reclaim) = acquire else {
-                return;
-            };
-            counters.claims.fetch_add(1, Ordering::Relaxed);
-            zcomp_trace::tracer::counter("fabric.claims", 1.0);
+        };
+        self.counters.claims.fetch_add(1, Ordering::Relaxed);
+        zcomp_trace::tracer::counter("fabric.claims", 1.0);
+        if events::armed() {
+            events::emit(FleetEvent::CellClaimed {
+                index: index as u64,
+                cell: key.to_string(),
+                token: lease.token,
+                reclaimed,
+            });
+        }
+        if reclaimed {
+            self.counters.reclaims.fetch_add(1, Ordering::Relaxed);
+            zcomp_trace::tracer::instant("sweep", "fabric.reclaim");
+            zcomp_trace::tracer::counter("fabric.reclaims", 1.0);
+            log_warn!(
+                "fabric: worker {worker} reclaimed cell {index} [{key}] at token {}",
+                lease.token
+            );
+        }
+        if drain_requested() {
+            // Claimed but not yet executed: hand the cell back.
+            self.counters.drains.fetch_add(1, Ordering::Relaxed);
+            self.release(index, key, &lease);
+            return None;
+        }
+        self.heartbeat().register(hash, lease.clone());
+        Some(lease)
+    }
+
+    fn release(&self, index: usize, key: &str, lease: &Lease) {
+        self.leases.release(self.hashes[index], lease);
+        if events::armed() {
+            events::emit(FleetEvent::LeaseReleased {
+                index: index as u64,
+                cell: key.to_string(),
+                token: lease.token,
+            });
+        }
+    }
+
+    /// Commits cell `index`'s `outcome` to `journal` — only while this
+    /// worker still owns the lease, so a worker paused past its TTL
+    /// withholds its stale result — then marks the lease done. Returns
+    /// whether the commit landed.
+    pub(crate) fn commit<T: Serialize>(
+        &self,
+        index: usize,
+        key: &str,
+        lease: &Lease,
+        outcome: &CellOutcome<T>,
+        elapsed: Duration,
+        journal: &Mutex<Journal>,
+    ) -> bool {
+        let (hash, worker) = (self.hashes[index], &self.opts.worker);
+        let elapsed_us = elapsed.as_micros() as u64;
+        self.counters
+            .retries
+            .fetch_add(outcome.retries(), Ordering::Relaxed);
+        if events::armed() {
+            self.counters
+                .latency_us
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .record(elapsed_us as f64);
+        }
+        self.heartbeat().unregister(hash);
+        if !self.leases.owns(hash, worker, lease.token) {
+            self.counters.fenced.fetch_add(1, Ordering::Relaxed);
+            zcomp_trace::tracer::instant("sweep", "fabric.fenced");
+            zcomp_trace::tracer::counter("fabric.fenced_rejections", 1.0);
             if events::armed() {
-                events::emit(FleetEvent::CellClaimed {
+                events::emit(FleetEvent::CellFenced {
                     index: index as u64,
-                    cell: key.clone(),
+                    cell: key.to_string(),
                     token: lease.token,
-                    reclaimed: was_reclaim,
                 });
             }
-            if was_reclaim {
-                counters.reclaims.fetch_add(1, Ordering::Relaxed);
-                zcomp_trace::tracer::instant("sweep", "fabric.reclaim");
-                zcomp_trace::tracer::counter("fabric.reclaims", 1.0);
-                log_warn!(
-                    "fabric: worker {worker} reclaimed cell {index} [{key}] \
-                     at token {}",
-                    lease.token
-                );
-            }
-            if drain_requested() {
-                // Claimed but not yet executed: hand the cell back.
-                leases.release(hash, &lease);
-                counters.drains.fetch_add(1, Ordering::Relaxed);
-                if events::armed() {
-                    events::emit(FleetEvent::LeaseReleased {
-                        index: index as u64,
-                        cell: key.clone(),
-                        token: lease.token,
-                    });
-                }
-                return;
-            }
-            heartbeat.register(hash, lease.clone());
-            let cell_start = std::time::Instant::now();
-            let outcome =
-                crate::supervise::run_cell(&opts.supervise, index, key, || make_job(index));
-            let elapsed_us = cell_start.elapsed().as_micros() as u64;
-            counters
-                .retries
-                .fetch_add(outcome.retries(), Ordering::Relaxed);
-            if events::armed() {
-                counters
-                    .latency_us
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .record(elapsed_us as f64);
-            }
-            let payload = fabric_payload(index, key, &outcome);
-            heartbeat.unregister(hash);
-            // The fencing check: commit only while still owning the
-            // lease. A worker paused past its TTL finds a reclaimer's
-            // higher token here and withholds its stale result.
-            if !leases.owns(hash, &worker, lease.token) {
-                counters.fenced.fetch_add(1, Ordering::Relaxed);
-                zcomp_trace::tracer::instant("sweep", "fabric.fenced");
-                zcomp_trace::tracer::counter("fabric.fenced_rejections", 1.0);
-                if events::armed() {
-                    events::emit(FleetEvent::CellFenced {
-                        index: index as u64,
-                        cell: key.clone(),
-                        token: lease.token,
-                    });
-                }
-                log_warn!(
-                    "fabric: worker {worker} lost cell {index} [{key}] to a \
-                     reclaimer; stale commit withheld"
-                );
-                return;
-            }
-            let committed = {
-                let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-                journal.commit_fenced(
-                    key.clone(),
-                    fingerprint,
-                    payload,
-                    worker.clone(),
-                    lease.token,
-                )
+            log_warn!(
+                "fabric: worker {worker} lost cell {index} [{key}] to a reclaimer; \
+                 stale commit withheld"
+            );
+            return false;
+        }
+        let committed = journal
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .commit_fenced(
+                key.to_string(),
+                self.fingerprint,
+                outcome.to_payload(),
+                worker.clone(),
+                lease.token,
+            );
+        if let Err(e) = committed {
+            // Release so the cell is retried (here or elsewhere) instead
+            // of deadlocking behind a live lease.
+            log_warn!("fabric: journal commit for cell {index} [{key}] failed ({e})");
+            self.release(index, key, lease);
+            return false;
+        }
+        self.leases.mark_done(hash, lease);
+        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        if events::armed() {
+            let attempts = match outcome {
+                CellOutcome::Completed { attempts, .. } => *attempts,
+                CellOutcome::Quarantined(failure) => failure.attempts,
             };
-            match committed {
-                Ok(()) => {
-                    leases.mark_done(hash, &lease);
-                    counters.completed.fetch_add(1, Ordering::Relaxed);
-                    ran_by_me[index].store(true, Ordering::SeqCst);
-                    progressed.store(true, Ordering::SeqCst);
-                    if events::armed() {
-                        let attempts = match &outcome {
-                            CellOutcome::Completed { attempts, .. } => *attempts,
-                            CellOutcome::Quarantined(failure) => failure.attempts,
-                        };
-                        events::emit(FleetEvent::CellCommitted {
-                            index: index as u64,
-                            cell: key.clone(),
-                            token: lease.token,
-                            attempts,
-                            elapsed_us,
-                        });
-                    }
-                }
-                Err(e) => {
-                    // Release so the cell is retried (here or elsewhere)
-                    // instead of deadlocking behind a live lease.
-                    log_warn!("fabric: journal commit for cell {index} [{key}] failed ({e})");
-                    leases.release(hash, &lease);
-                    if events::armed() {
-                        events::emit(FleetEvent::LeaseReleased {
-                            index: index as u64,
-                            cell: key.clone(),
-                            token: lease.token,
-                        });
-                    }
-                }
-            }
-        });
-        if drain_requested() {
-            drained = true;
-            break;
+            events::emit(FleetEvent::CellCommitted {
+                index: index as u64,
+                cell: key.to_string(),
+                token: lease.token,
+                attempts,
+                elapsed_us,
+            });
         }
-        if !progressed.load(Ordering::SeqCst) {
-            // Everything left is leased to live peers: wait for their
-            // commits (or their leases' expiry) to show up.
-            std::thread::sleep(fabric.poll);
-        }
+        true
     }
-    heartbeat.stop();
 
-    let view = merged_view(&dir, &keys, fingerprint, &counters.duplicates)?;
-    let done = view.iter().filter(|slot| slot.is_some()).count();
-    let fabric_report = FabricReport {
-        worker: worker.clone(),
-        claims: counters.claims.load(Ordering::SeqCst),
-        reclaims: counters.reclaims.load(Ordering::SeqCst),
-        fenced_rejections: counters.fenced.load(Ordering::SeqCst),
-        drains: counters.drains.load(Ordering::SeqCst),
-        completed: counters.completed.load(Ordering::SeqCst),
-        duplicates: counters.duplicates.load(Ordering::SeqCst),
-    };
-    if events::armed() {
+    /// Waits one poll interval: everything left is leased to live peers,
+    /// whose commits (or lease expiry) the next pass picks up.
+    pub(crate) fn idle(&self) {
+        self.heartbeat();
+        std::thread::sleep(self.opts.poll);
+    }
+
+    /// Leaves the fabric: stops the heartbeat, closes the event stream
+    /// and returns what this worker observed.
+    pub(crate) fn leave(self, drained: bool) -> FabricReport {
+        let Member {
+            opts,
+            counters,
+            heartbeat,
+            ..
+        } = self;
+        drop(heartbeat);
+        let report = FabricReport {
+            worker: opts.worker.clone(),
+            claims: counters.claims.load(Ordering::SeqCst),
+            reclaims: counters.reclaims.load(Ordering::SeqCst),
+            fenced_rejections: counters.fenced.load(Ordering::SeqCst),
+            drains: counters.drains.load(Ordering::SeqCst),
+            completed: counters.completed.load(Ordering::SeqCst),
+            duplicates: counters.duplicates.load(Ordering::SeqCst),
+        };
         if drained {
-            events::emit(FleetEvent::Drain);
+            log_warn!("fabric: {} drained", report.summary());
         }
-        events::emit(FleetEvent::WorkerDone {
-            completed: fabric_report.completed,
-            claims: fabric_report.claims,
-            reclaims: fabric_report.reclaims,
-            fenced: fabric_report.fenced_rejections,
-            drains: fabric_report.drains,
-            duplicates: fabric_report.duplicates,
-        });
-        events::stream_close();
-    }
-    if drained && done < items {
-        log_warn!(
-            "fabric: worker {worker} drained with {done}/{items} cells journalled \
-             ({})",
-            fabric_report.summary()
-        );
-        return Err(SweepError::FabricDrained {
-            completed: done,
-            total: items,
-        });
-    }
-
-    // Deterministic merge: reconstruct every outcome, in index order,
-    // from the merged journal view — identical on every worker and
-    // identical to a 1-worker run.
-    let mut outcomes: Vec<CellOutcome<T>> = Vec::with_capacity(items);
-    let mut report = SupervisionReport {
-        cells: items,
-        retries: counters.retries.load(Ordering::SeqCst),
-        fabric: Some(fabric_report),
-        ..SupervisionReport::default()
-    };
-    for (index, slot) in view.iter().enumerate() {
-        let entry = slot.as_ref().expect("merged view is complete");
-        let ran_here = ran_by_me[index].load(Ordering::SeqCst);
-        if ran_here {
-            report.executed += 1;
-        } else {
-            report.resume_skips += 1;
+        if events::armed() {
+            if drained {
+                events::emit(FleetEvent::Drain);
+            }
+            events::emit(FleetEvent::WorkerDone {
+                completed: report.completed,
+                claims: report.claims,
+                reclaims: report.reclaims,
+                fenced: report.fenced_rejections,
+                drains: report.drains,
+                duplicates: report.duplicates,
+            });
+            events::stream_close();
         }
-        let outcome = decode_cell::<T>(index, &keys[index], entry, ran_here);
-        if let CellOutcome::Quarantined(failure) = &outcome {
-            report.quarantined.push(failure.clone());
-        }
-        outcomes.push(outcome);
+        report
     }
-    Ok(CellsRun { outcomes, report })
 }
 
 #[cfg(test)]
@@ -1215,62 +1114,24 @@ mod tests {
     }
 
     #[test]
-    fn fabric_payload_round_trips_both_arms() {
-        let done: CellOutcome<u64> = CellOutcome::Completed {
-            value: 42,
-            attempts: 2,
-        };
-        let text = fabric_payload(3, "cell-x", &done);
-        match serde_json::from_str::<FabricCellPayload>(&text).unwrap() {
-            FabricCellPayload::Completed { attempts, value } => {
-                assert_eq!(attempts, 2);
-                assert_eq!(serde_json::from_str::<u64>(&value).unwrap(), 42);
-            }
-            other => panic!("expected completed payload, got {other:?}"),
-        }
-        let failure = CellFailure {
-            index: 3,
-            cell: "cell-x".into(),
-            attempts: 1,
-            reason: FailureReason::Panicked {
-                message: "boom".into(),
-            },
-        };
-        let quarantined: CellOutcome<u64> = CellOutcome::Quarantined(failure.clone());
-        let text = fabric_payload(3, "cell-x", &quarantined);
-        match serde_json::from_str::<FabricCellPayload>(&text).unwrap() {
-            FabricCellPayload::Quarantined(f) => assert_eq!(f, failure),
-            other => panic!("expected quarantined payload, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn decode_cell_keeps_attempts_only_for_the_executor() {
-        let payload = fabric_payload(
-            0,
-            "c",
-            &CellOutcome::Completed {
-                value: 9u64,
-                attempts: 3,
-            },
-        );
-        let entry = JournalEntry {
-            payload,
-            worker: "w1".into(),
-            token: 1,
-        };
-        match decode_cell::<u64>(0, "c", &entry, true) {
-            CellOutcome::Completed { value, attempts } => {
-                assert_eq!((value, attempts), (9, 3));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match decode_cell::<u64>(0, "c", &entry, false) {
-            CellOutcome::Completed { value, attempts } => {
-                assert_eq!((value, attempts), (9, 0), "peers see a resume");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+    fn heartbeat_stops_well_inside_one_interval() {
+        let dir = temp_dir("heartbeat");
+        let _ = fs::remove_dir_all(&dir);
+        let leases = LeaseDir::open(&dir).unwrap();
+        // A 30 s TTL beats every 7.5 s; stopping must not wait for a beat.
+        // The fastest of several stops is checked, so one scheduler
+        // hiccup cannot fail the test.
+        let fastest = (0..5)
+            .map(|_| {
+                let heartbeat = Heartbeat::start(leases.clone(), Duration::from_secs(30), None);
+                let stop = std::time::Instant::now();
+                drop(heartbeat);
+                stop.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(fastest < Duration::from_millis(5), "stop took {fastest:?}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

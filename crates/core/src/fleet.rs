@@ -38,8 +38,8 @@ use zcomp_trace::log_warn;
 use zcomp_trace::metrics::{Histogram, HistogramSummary, MetricsRegistry, MetricsSummary};
 use zcomp_trace::tracer::{Event, EventKind};
 
-use crate::fabric::{FabricCellPayload, LeaseDir, LeaseState};
-use crate::supervise::Journal;
+use crate::fabric::{LeaseDir, LeaseState};
+use crate::supervise::{CellOutcome, Journal};
 
 /// Microseconds since the Unix epoch, now.
 fn now_epoch_us() -> u64 {
@@ -325,8 +325,8 @@ pub fn scan_experiment(root: &Path, experiment: &str) -> io::Result<ExperimentSt
                     continue;
                 }
                 done_keys.insert((cell.to_string(), fp));
-                if let Ok(FabricCellPayload::Quarantined(_)) =
-                    serde_json::from_str::<FabricCellPayload>(&entry.payload)
+                if let Ok(CellOutcome::Quarantined(_)) =
+                    CellOutcome::<serde_json::Value>::from_payload(&entry.payload)
                 {
                     quarantined_keys.insert((cell.to_string(), fp));
                 }
@@ -694,11 +694,11 @@ mod tests {
             .commit_fenced(
                 "cell-0".to_string(),
                 7,
-                serde_json::to_string(&FabricCellPayload::Completed {
+                CellOutcome::Completed {
+                    value: 42u64,
                     attempts: 1,
-                    value: "42".to_string(),
-                })
-                .expect("payload"),
+                }
+                .to_payload(),
                 "w1".to_string(),
                 1,
             )

@@ -223,6 +223,42 @@ impl<T> CellOutcome<T> {
     }
 }
 
+/// What a quarantine's journal payload starts with. No cell result type
+/// has a `Quarantined` field, so no completed value's JSON is mistaken
+/// for one.
+const QUARANTINED_TAG: &str = "{\"Quarantined\":";
+
+impl<T: Serialize> CellOutcome<T> {
+    /// The journal payload of this outcome: a completed value's own JSON
+    /// (stored once; attempts are not stored), or `{"Quarantined":<failure>}`.
+    pub fn to_payload(&self) -> String {
+        // The value-model serializer cannot fail.
+        let json = match self {
+            CellOutcome::Completed { value, .. } => serde_json::to_string(value),
+            CellOutcome::Quarantined(failure) => serde_json::to_string(failure)
+                .map(|failure| format!("{QUARANTINED_TAG}{failure}}}")),
+        };
+        json.expect("cell results serialize")
+    }
+}
+
+impl<T: Deserialize> CellOutcome<T> {
+    /// Decodes a [`CellOutcome::to_payload`] payload. A restored
+    /// completed cell reports 0 attempts: it did not execute here.
+    pub fn from_payload(payload: &str) -> Result<CellOutcome<T>, String> {
+        let failure = payload
+            .strip_prefix(QUARANTINED_TAG)
+            .and_then(|body| body.strip_suffix('}'))
+            .and_then(|body| serde_json::from_str(body).ok());
+        if let Some(failure) = failure {
+            return Ok(CellOutcome::Quarantined(failure));
+        }
+        serde_json::from_str(payload)
+            .map(|value| CellOutcome::Completed { value, attempts: 0 })
+            .map_err(|e| e.to_string())
+    }
+}
+
 /// Stringifies a panic payload (the `&str`/`String` cases cover every
 /// `panic!`/`assert!` in this workspace).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -808,6 +844,41 @@ mod tests {
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn payload_round_trips_both_arms_and_restores_with_zero_attempts() {
+        let done: CellOutcome<Vec<f64>> = CellOutcome::Completed {
+            value: vec![1.5, 0.1],
+            attempts: 2,
+        };
+        let payload = done.to_payload();
+        assert_eq!(
+            payload, "[1.5,0.1]",
+            "the value is stored once, as its JSON"
+        );
+        assert_eq!(
+            CellOutcome::from_payload(&payload),
+            Ok(CellOutcome::Completed {
+                value: vec![1.5, 0.1],
+                attempts: 0
+            })
+        );
+        let failure = CellFailure {
+            index: 3,
+            cell: "cell-x".into(),
+            attempts: 1,
+            reason: FailureReason::Panicked {
+                message: "boom".into(),
+            },
+        };
+        let quarantined: CellOutcome<u64> = CellOutcome::Quarantined(failure);
+        assert_eq!(
+            CellOutcome::from_payload(&quarantined.to_payload()),
+            Ok(quarantined)
+        );
+        assert!(CellOutcome::<u64>::from_payload("\"x\"").is_err());
+        assert!(CellOutcome::<u64>::from_payload("{\"Quarantined\":1}").is_err());
     }
 
     #[test]

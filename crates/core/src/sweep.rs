@@ -20,42 +20,34 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
-use zcomp_replay::{TraceCache, TraceError};
 use zcomp_trace::hash::Fnv1a64;
 use zcomp_trace::log_warn;
 
-use crate::fabric::{FabricOpts, FabricReport};
-use crate::supervise::{CellFailure, CellOutcome, Journal, SuperviseOpts};
+use crate::fabric::{FabricOpts, FabricReport, Member};
+use crate::supervise::{run_cell, CellFailure, CellOutcome, Journal, JournalEntry, SuperviseOpts};
 
 /// A sweep-level failure detected *before* any cell runs (as opposed to
-/// per-cell failures, which are quarantined, not raised).
+/// per-cell failures, which are quarantined, not raised), or a drain.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SweepError {
-    /// The cache root (which holds the completion journals) cannot be
-    /// created or written. Surfaced at sweep start so a bad `--traces`
-    /// path fails in milliseconds, not per-cell over hours.
-    CacheRoot {
-        /// The offending root directory.
-        root: PathBuf,
-        /// The underlying cache error.
-        source: TraceError,
-    },
-    /// The resume journal exists but cannot be read.
-    Journal {
-        /// The journal file path.
-        path: PathBuf,
+    /// The directory the sweep journals to (the experiment's directory
+    /// under the cache root, or under the fabric directory) cannot be
+    /// created or written. Surfaced at sweep start so a bad `--traces` or
+    /// `--fabric-dir` path fails in milliseconds, not per cell over hours.
+    JournalDir {
+        /// The offending directory.
+        dir: PathBuf,
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// The fabric directory (leases, per-worker journals) cannot be
-    /// created or written.
-    Fabric {
-        /// The offending fabric directory.
-        dir: PathBuf,
+    /// A journal exists but cannot be read.
+    Journal {
+        /// The journal file path.
+        path: PathBuf,
         /// The underlying I/O error.
         source: std::io::Error,
     },
@@ -63,7 +55,7 @@ pub enum SweepError {
     /// before every cell was journalled. Completed cells are safely
     /// committed; re-running the same fabric resumes from them.
     FabricDrained {
-        /// Cells journalled across the whole fabric at drain time.
+        /// Cells this worker saw complete when it stopped.
         completed: usize,
         /// Total cells in the sweep.
         total: usize,
@@ -73,21 +65,18 @@ pub enum SweepError {
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepError::CacheRoot { root, source } => {
-                write!(f, "cache root {} is unusable: {source}", root.display())
+            SweepError::JournalDir { dir, source } => {
+                write!(
+                    f,
+                    "journal directory {} is unusable: {source}",
+                    dir.display()
+                )
             }
             SweepError::Journal { path, source } => {
                 write!(
                     f,
                     "sweep journal {} is unreadable: {source}",
                     path.display()
-                )
-            }
-            SweepError::Fabric { dir, source } => {
-                write!(
-                    f,
-                    "fabric directory {} is unusable: {source}",
-                    dir.display()
                 )
             }
             SweepError::FabricDrained { completed, total } => {
@@ -104,9 +93,9 @@ impl std::fmt::Display for SweepError {
 impl std::error::Error for SweepError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SweepError::CacheRoot { source, .. } => Some(source),
-            SweepError::Journal { source, .. } => Some(source),
-            SweepError::Fabric { source, .. } => Some(source),
+            SweepError::JournalDir { source, .. } | SweepError::Journal { source, .. } => {
+                Some(source)
+            }
             SweepError::FabricDrained { .. } => None,
         }
     }
@@ -134,10 +123,10 @@ pub struct SweepOpts {
     pub cache_mode: CacheMode,
     /// Per-cell supervision policy (attempts, deadline, backoff).
     pub supervise: SuperviseOpts,
-    /// Start from the journal instead of a fresh one, restoring the cells
-    /// it records as complete. Requires `cache_root`; ignored without
-    /// one. The Fig. 12 and full-network sweeps derive it from
-    /// `cache_mode` instead.
+    /// Start from the cache root's journal instead of a fresh one,
+    /// restoring the cells it records as complete. Ignored without a
+    /// cache root and on a fabric, whose journals always load. The
+    /// Fig. 12 and full-network sweeps derive it from `cache_mode`.
     pub resume: bool,
     /// Multi-process fabric participation: when set, [`run_cells`] joins
     /// the lease-based work queue under
@@ -203,22 +192,6 @@ impl SweepOpts {
     pub fn with_fabric(mut self, fabric: FabricOpts) -> Self {
         self.fabric = Some(fabric);
         self
-    }
-
-    /// Validates the cache root, if one is set: creates and write-probes
-    /// it, so an unusable `--traces` path is a typed
-    /// [`SweepError::CacheRoot`] at sweep start rather than a per-cell
-    /// failure mid-run.
-    pub(crate) fn validate_root(&self) -> Result<(), SweepError> {
-        match &self.cache_root {
-            None => Ok(()),
-            Some(root) => TraceCache::open_validated(root)
-                .map(drop)
-                .map_err(|source| SweepError::CacheRoot {
-                    root: root.clone(),
-                    source,
-                }),
-        }
     }
 
     /// The fingerprint an experiment passes to [`run_cells`]: its own
@@ -337,19 +310,29 @@ pub struct CellsRun<T> {
     pub report: SupervisionReport,
 }
 
-/// Runs `items` supervised cells, sharded over `opts.threads`, journalling
-/// completions under the cache root and honouring `opts.resume`.
+/// Runs `items` supervised cells, sharded over `opts.threads`, in one
+/// loop: open the journal view, restore every cell it holds, run the rest
+/// through [`run_sharded`] and [`run_cell`], commit each result, repeat
+/// until every cell has an outcome, and report.
+///
+/// The journal view is empty without a cache root or fabric; the cache
+/// root's journal for a local run (started fresh unless `opts.resume`);
+/// or, with [`SweepOpts::fabric`], the merged per-worker journals of the
+/// fabric, which this call joins as one cooperating worker (see
+/// [`fabric`](crate::fabric)). A local run journals completed cells
+/// only: quarantined cells are not journalled, so the next run retries
+/// them. A fabric worker journals quarantines too, so peers restore them
+/// instead of re-running a poisoned cell.
 ///
 /// `key_of(i)` names cell `i`; with `fingerprint` (see
 /// [`SweepOpts::fingerprint`]) it keys the journal record.
 /// `make_job(i)` builds a fresh self-contained closure per attempt; see
-/// [`supervise::run_cell`](crate::supervise::run_cell) for why it must be
-/// `'static`.
+/// [`run_cell`] for why it must be `'static`.
 ///
-/// Determinism: outcomes come back in index order; journal-restored cells
-/// decode the exact JSON payload the original execution committed, so a
-/// resumed sweep merges to the identical result an uninterrupted run
-/// produces.
+/// Determinism: outcomes come back in index order; restored cells decode
+/// the exact value the original execution committed (with 0 attempts), so
+/// a restored sweep merges to the identical result an uninterrupted run
+/// produces, whatever the worker count or crash history.
 pub fn run_cells<T, K, J>(
     experiment: &str,
     items: usize,
@@ -363,121 +346,155 @@ where
     K: Fn(usize) -> String + Sync,
     J: Fn(usize) -> Box<dyn FnOnce() -> T + Send + 'static> + Sync,
 {
-    // Fabric runs hand the whole sweep to the lease-based multi-process
-    // executor; everything below is the single-process path.
-    if opts.fabric.is_some() {
-        return crate::fabric::run_fabric(experiment, items, fingerprint, opts, key_of, make_job);
-    }
-
-    // Validate the cache root up front — a bad root must fail here, not
-    // mid-sweep.
-    let journal: Option<Mutex<Journal>> = match &opts.cache_root {
+    let keys: Vec<String> = (0..items).map(key_of).collect();
+    let journal = open_journal(experiment, opts)?;
+    let member = match &opts.fabric {
+        Some(fabric) => Some(Member::join(fabric, experiment, &keys, fingerprint)?),
         None => None,
-        Some(root) => {
-            opts.validate_root()?;
-            let path = root.join(experiment).join("journal.jsonl");
-            let journal = if opts.resume {
-                Journal::load(&path).map_err(|source| SweepError::Journal {
-                    path: path.clone(),
-                    source,
-                })?
-            } else {
-                Journal::fresh(&path)
-            };
-            Some(Mutex::new(journal))
-        }
     };
-
-    // Resume pass: restore verified-complete cells without executing.
     let mut outcomes: Vec<Option<CellOutcome<T>>> = (0..items).map(|_| None).collect();
-    let mut resume_skips = 0usize;
-    if opts.resume {
-        if let Some(journal) = &journal {
-            let journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-            for (index, slot) in outcomes.iter_mut().enumerate() {
-                let key = key_of(index);
-                if let Some(payload) = journal.lookup(&key, fingerprint) {
-                    match serde_json::from_str::<T>(payload) {
-                        Ok(value) => {
-                            *slot = Some(CellOutcome::Completed { value, attempts: 0 });
-                            resume_skips += 1;
-                        }
-                        Err(e) => {
-                            log_warn!(
-                                "journal payload for cell {index} [{key}] does not decode \
-                                 ({e}); re-running"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if resume_skips > 0 {
-        zcomp_trace::tracer::counter("supervise.resume_skips", resume_skips as f64);
-    }
-
-    // Execute the remaining cells under supervision.
-    let pending: Vec<usize> = (0..items).filter(|&i| outcomes[i].is_none()).collect();
-    let ran = run_sharded(pending.len(), opts.threads, |j| {
-        let index = pending[j];
-        let key = key_of(index);
-        let outcome = crate::supervise::run_cell(&opts.supervise, index, &key, || make_job(index));
-        if let CellOutcome::Completed { value, attempts } = &outcome {
-            if *attempts > 0 {
-                if let Some(journal) = &journal {
-                    match serde_json::to_string(value) {
-                        Ok(payload) => {
-                            let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-                            if let Err(e) = journal.commit(key.clone(), fingerprint, payload) {
-                                // The journal is an aid, not a dependency:
-                                // losing a record only costs re-execution
-                                // on a future resume.
-                                log_warn!(
-                                    "journal commit for cell {index} [{key}] failed ({e}); \
-                                     continuing unjournalled"
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            log_warn!("cell {index} [{key}] result does not serialize: {e}");
-                        }
-                    }
-                }
-            }
-        }
-        outcome
-    });
-    for (j, outcome) in ran.into_iter().enumerate() {
-        outcomes[pending[j]] = Some(outcome);
-    }
-
-    // Merge, in index order, and aggregate the report.
     let mut report = SupervisionReport {
         cells: items,
-        resume_skips,
         ..SupervisionReport::default()
     };
-    let mut merged = Vec::with_capacity(items);
-    for outcome in outcomes.into_iter().flatten() {
-        report.retries += outcome.retries();
-        match &outcome {
-            CellOutcome::Completed { attempts, .. } => {
-                if *attempts > 0 {
-                    report.executed += 1;
-                }
+    let mut drained = false;
+    loop {
+        // Restore every pending cell the journal view holds.
+        let view: Vec<Option<JournalEntry>> = match (&member, &journal) {
+            (Some(member), _) => member.view(&keys)?,
+            (None, Some(journal)) => {
+                let journal = journal.lock().unwrap_or_else(|p| p.into_inner());
+                let held = keys
+                    .iter()
+                    .zip(&outcomes)
+                    .map(|(key, outcome)| match outcome {
+                        None => journal.entry(key, fingerprint).cloned(),
+                        Some(_) => None,
+                    });
+                held.collect()
             }
-            CellOutcome::Quarantined(failure) => {
-                report.executed += 1;
-                report.quarantined.push(failure.clone());
+            (None, None) => Vec::new(),
+        };
+        for (index, entry) in view.into_iter().enumerate() {
+            let Some(entry) = entry.filter(|_| outcomes[index].is_none()) else {
+                continue;
+            };
+            match CellOutcome::from_payload(&entry.payload) {
+                Ok(outcome) => {
+                    outcomes[index] = Some(outcome);
+                    report.resume_skips += 1;
+                }
+                Err(e) => log_warn!(
+                    "journal payload for cell {index} [{}] does not decode ({e}); re-running",
+                    keys[index]
+                ),
             }
         }
-        merged.push(outcome);
+        let todo: Vec<usize> = (0..items).filter(|&i| outcomes[i].is_none()).collect();
+        if todo.is_empty() {
+            break;
+        }
+        if member.is_some() && crate::fabric::drain_requested() {
+            drained = true;
+            break;
+        }
+
+        // Run the rest, committing each result as it completes.
+        let ran = run_sharded(todo.len(), opts.threads, |j| {
+            let (index, key) = (todo[j], &keys[todo[j]]);
+            let claim = match &member {
+                Some(member) => Some((member, member.claim(index, key)?)),
+                None => None,
+            };
+            let started = Instant::now();
+            let outcome = run_cell(&opts.supervise, index, key, || make_job(index));
+            let Some(journal) = &journal else {
+                return Some(outcome);
+            };
+            if let Some((member, lease)) = claim {
+                let elapsed = started.elapsed();
+                return member
+                    .commit(index, key, &lease, &outcome, elapsed, journal)
+                    .then_some(outcome);
+            }
+            // Locally only completed cells are journalled.
+            if outcome.value().is_some() {
+                let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
+                if let Err(e) = journal.commit(key.clone(), fingerprint, outcome.to_payload()) {
+                    // The journal is an aid, not a dependency: losing a
+                    // record only costs re-execution.
+                    log_warn!(
+                        "journal commit for cell {index} [{key}] failed ({e}); \
+                         continuing unjournalled"
+                    );
+                }
+            }
+            Some(outcome)
+        });
+        let mut progressed = false;
+        for (j, outcome) in ran.into_iter().enumerate() {
+            if let Some(outcome) = outcome {
+                report.executed += 1;
+                report.retries += outcome.retries();
+                outcomes[todo[j]] = Some(outcome);
+                progressed = true;
+            }
+        }
+        if let (false, Some(member)) = (progressed, &member) {
+            member.idle();
+        }
     }
-    Ok(CellsRun {
-        outcomes: merged,
-        report,
-    })
+
+    report.fabric = member.map(|member| member.leave(drained));
+    let outcomes: Vec<CellOutcome<T>> = outcomes.into_iter().flatten().collect();
+    if drained {
+        return Err(SweepError::FabricDrained {
+            completed: outcomes.len(),
+            total: items,
+        });
+    }
+    if report.resume_skips > 0 {
+        zcomp_trace::tracer::counter("supervise.resume_skips", report.resume_skips as f64);
+    }
+    report.quarantined = outcomes
+        .iter()
+        .filter_map(|outcome| match outcome {
+            CellOutcome::Quarantined(failure) => Some(failure.clone()),
+            CellOutcome::Completed { .. } => None,
+        })
+        .collect();
+    Ok(CellsRun { outcomes, report })
+}
+
+/// Opens the journal this process commits to: its own file in the fabric
+/// directory (always loaded, so a revived worker sees its pre-crash
+/// commits), or the cache root's (fresh unless `opts.resume`). The
+/// directory is created and write-probed first, so an unusable one is a
+/// typed [`SweepError::JournalDir`] at sweep start.
+fn open_journal(experiment: &str, opts: &SweepOpts) -> Result<Option<Mutex<Journal>>, SweepError> {
+    let (dir, file, load) = match (&opts.fabric, &opts.cache_root) {
+        (Some(fabric), _) => (fabric.dir.join(experiment), fabric.journal_file(), true),
+        (None, Some(root)) => (root.join(experiment), "journal.jsonl".into(), opts.resume),
+        (None, None) => return Ok(None),
+    };
+    let probe = dir.join(format!(".write-probe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| std::fs::write(&probe, b"zcomp"))
+        .and_then(|()| std::fs::remove_file(&probe))
+        .map_err(|source| SweepError::JournalDir {
+            dir: dir.clone(),
+            source,
+        })?;
+    let path = dir.join(file);
+    let journal = if load {
+        Journal::load(&path).map_err(|source| SweepError::Journal {
+            path: path.clone(),
+            source,
+        })?
+    } else {
+        Journal::fresh(path)
+    };
+    Ok(Some(Mutex::new(journal)))
 }
 
 /// Runs `worker` for every index in `0..items` across up to `threads`
@@ -571,19 +588,48 @@ mod tests {
         std::env::temp_dir().join(format!("zsweep-{}-{name}", std::process::id()))
     }
 
+    fn job(i: usize) -> Box<dyn FnOnce() -> u64 + Send + 'static> {
+        Box::new(move || i as u64)
+    }
+
+    /// Runs two cells under `opts` and expects a typed unusable-directory
+    /// error naming `dir`.
+    fn assert_unusable(opts: &SweepOpts, dir: &std::path::Path) {
+        let err = run_cells("unit", 2, 7, opts, |i| format!("c{i}"), job)
+            .expect_err("a directory under a file must fail at start");
+        match &err {
+            SweepError::JournalDir { dir: bad, .. } => assert!(bad.starts_with(dir)),
+            other => panic!("expected JournalDir, got {other}"),
+        }
+        assert!(err.to_string().contains("unusable"), "got: {err}");
+        assert!(std::error::Error::source(&err).is_some());
+    }
+
     #[test]
     fn unwritable_cache_root_is_a_typed_error_at_start() {
         // A root whose parent is a *file* cannot be created.
         let blocker = temp_root("blocker");
         let _ = std::fs::remove_file(&blocker);
         std::fs::write(&blocker, b"file").unwrap();
-        let opts = SweepOpts::serial().with_cache(blocker.join("nested"));
-        let err = opts
-            .validate_root()
-            .expect_err("root under a file must fail");
-        let text = err.to_string();
-        assert!(text.contains("unusable"), "got: {text}");
-        assert!(std::error::Error::source(&err).is_some());
+        let root = blocker.join("nested");
+        assert_unusable(&SweepOpts::serial().with_cache(&root), &root);
+        let _ = std::fs::remove_file(&blocker);
+    }
+
+    #[test]
+    fn unwritable_fabric_dir_is_a_typed_error_at_start() {
+        let blocker = temp_root("fabric-blocker");
+        let _ = std::fs::remove_file(&blocker);
+        std::fs::write(&blocker, b"file").unwrap();
+        let dir = blocker.join("fabric");
+        // The cache root is usable but unused: only the fabric dir, where
+        // a fabric worker journals, is probed.
+        let root = temp_root("fabric-unused-root");
+        let opts = SweepOpts::serial()
+            .with_cache(&root)
+            .with_fabric(FabricOpts::new(&dir));
+        assert_unusable(&opts, &dir);
+        assert!(!root.exists(), "a fabric run does not touch the cache root");
         let _ = std::fs::remove_file(&blocker);
     }
 

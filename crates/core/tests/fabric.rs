@@ -193,11 +193,11 @@ fn a_fenced_zombies_late_commit_is_rejected_and_never_merged() {
     // duplicate, not a torn or doubled cell.
     let zombie_journal = exp_dir.join("journal.zombie.jsonl");
     let mut journal = Journal::load(&zombie_journal).expect("load zombie journal");
-    let stale = serde_json::to_string(&fabric::FabricCellPayload::Completed {
+    let stale = CellOutcome::Completed {
+        value: 999_999u64,
         attempts: 1,
-        value: serde_json::to_string(&999_999u64).unwrap(),
-    })
-    .unwrap();
+    }
+    .to_payload();
     journal
         .commit_fenced(
             zombie.cell.clone(),
@@ -246,6 +246,93 @@ fn a_drain_request_stops_the_worker_with_a_typed_error() {
     // After the drain the same fabric dir resumes to a complete sweep.
     let resumed = run_worker(&dir, "resumer");
     assert_eq!(values(&resumed).len(), ITEMS);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One executor, one report: a local run under a cache root and a
+/// one-worker fabric run of the same cells — one that always panics, one
+/// that fails once — agree on every outcome and on the whole report but
+/// its `fabric` field. Their reruns differ only by the quarantine rule: a
+/// local rerun retries the quarantined cell (quarantines are not
+/// journalled locally), a fabric peer restores everything, quarantine
+/// included.
+#[test]
+fn local_and_fabric_runs_give_one_report() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use zcomp::supervise::SuperviseOpts;
+
+    const PANICKER: usize = 1;
+    const FLAKY: usize = 4;
+    let _guard = lock();
+    let dir = tmp_dir("one-report");
+    let supervise = SuperviseOpts::default()
+        .with_attempts(2)
+        .with_backoff(Duration::from_micros(10), Duration::from_micros(50));
+    // Runs the cells under `opts`, returning the run and every index an
+    // attempt executed.
+    let run = |opts: &SweepOpts| {
+        let failed_once = Arc::new(AtomicBool::new(false));
+        let executed = Arc::new(Mutex::new(Vec::new()));
+        let run = run_cells(EXPERIMENT, ITEMS, FINGERPRINT, opts, key_of, |i| {
+            let (failed_once, executed) = (Arc::clone(&failed_once), Arc::clone(&executed));
+            Box::new(move || {
+                executed.lock().unwrap().push(i);
+                if i == PANICKER || (i == FLAKY && !failed_once.swap(true, Ordering::SeqCst)) {
+                    panic!("injected failure in cell {i}");
+                }
+                (i as u64 + 1) * 100
+            })
+        })
+        .expect("sweep completes");
+        let executed = executed.lock().unwrap().clone();
+        (run, executed)
+    };
+
+    let local_opts = SweepOpts::serial()
+        .with_cache(dir.join("cache"))
+        .with_supervise(supervise.clone());
+    let fabric_opts = fabric_opts(&dir.join("fabric"), "solo").with_supervise(supervise);
+    let (local, _) = run(&local_opts);
+    let (fabric_run, _) = run(&fabric_opts);
+
+    assert_eq!(local.outcomes, fabric_run.outcomes);
+    assert_eq!(local.report.quarantined.len(), 1);
+    assert_eq!(local.report.quarantined[0].index, PANICKER);
+    assert_eq!(local.report.retries, 2, "one retry each for the sick cells");
+    assert_eq!(local.report.executed, ITEMS);
+    assert!(local.report.fabric.is_none());
+    let fabric_report = fabric_run.report.fabric.clone().expect("fabric report");
+    assert_eq!(fabric_report.completed, ITEMS as u64);
+    assert!(
+        !dir.join("cache").join(EXPERIMENT).join("leases").exists(),
+        "a local run takes no leases"
+    );
+    let mut without_fabric = fabric_run.report.clone();
+    without_fabric.fabric = None;
+    assert_eq!(without_fabric, local.report);
+
+    // Local rerun: completed cells restore, the quarantined one retries.
+    let (rerun, executed) = run(&local_opts.clone().with_resume(true));
+    assert_eq!(executed, vec![PANICKER, PANICKER]);
+    assert_eq!(rerun.report.executed, 1);
+    assert_eq!(rerun.report.resume_skips, ITEMS - 1);
+    assert_eq!(rerun.report.quarantined, local.report.quarantined);
+
+    // A fabric peer restores everything, quarantine included.
+    let peer_opts = SweepOpts {
+        fabric: Some(fabric_opts.fabric.clone().unwrap().with_worker("peer")),
+        ..fabric_opts.clone()
+    };
+    let (peer, executed) = run(&peer_opts);
+    assert!(executed.is_empty(), "the peer executed {executed:?}");
+    assert_eq!(peer.report.executed, 0);
+    assert_eq!(peer.report.resume_skips, ITEMS);
+    assert_eq!(peer.report.retries, 0);
+    assert_eq!(peer.report.quarantined, local.report.quarantined);
+    assert_eq!(peer.outcomes[PANICKER], local.outcomes[PANICKER]);
+    assert_eq!(peer.outcomes[FLAKY].value(), local.outcomes[FLAKY].value());
 
     let _ = std::fs::remove_dir_all(&dir);
 }
