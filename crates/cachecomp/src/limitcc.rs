@@ -6,8 +6,7 @@
 //! regardless of physical cache line boundaries." Lines are compressed
 //! with FPC-D.
 
-use crate::fpc::fpcd_line_bytes;
-use crate::line::{lines_of, LINE_BYTES};
+use crate::cache_ratios;
 
 /// Compression ratio achieved by LimitCC on a buffer: uncompressed bytes
 /// over the byte-granularity sum of FPC-D line sizes.
@@ -23,22 +22,13 @@ use crate::line::{lines_of, LINE_BYTES};
 /// assert!(limitcc_ratio(&zeros) > 2.0);
 /// ```
 pub fn limitcc_ratio(data: &[f32]) -> f64 {
-    let mut compressed = 0usize;
-    let mut lines = 0usize;
-    for line in lines_of(data) {
-        compressed += fpcd_line_bytes(&line);
-        lines += 1;
-    }
-    if lines == 0 {
-        1.0
-    } else {
-        (lines * LINE_BYTES) as f64 / compressed as f64
-    }
+    cache_ratios(data).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line::LINE_BYTES;
 
     #[test]
     fn all_zero_ratio_is_line_over_prefix_plus_zero_codes() {
@@ -75,5 +65,20 @@ mod tests {
         };
         assert!(limitcc_ratio(&make(8)) > limitcc_ratio(&make(4)));
         assert!(limitcc_ratio(&make(4)) > limitcc_ratio(&make(1)));
+    }
+
+    #[test]
+    fn half_sparse_activations_give_middling_ratio() {
+        // 50% zero words, 50% arbitrary floats: the zero words shrink, the
+        // floats stay raw. Expect a ratio well below ZCOMP's on the same
+        // data (Fig. 15's finding).
+        let data: Vec<f32> = (0..4096)
+            .map(|i| if i % 2 == 0 { 0.0 } else { 1.234 + i as f32 })
+            .collect();
+        let ratio = limitcc_ratio(&data);
+        assert!((1.0..2.0).contains(&ratio), "ratio {ratio}");
+        // 8 raw words (35 bits) and 8 zero words (6 bits) per line.
+        let line_bytes = 8 + (8 * 35 + 8 * 6usize).div_ceil(8);
+        assert_eq!(ratio, LINE_BYTES as f64 / line_bytes as f64);
     }
 }

@@ -8,12 +8,12 @@
 //! compressed lengths", which is rarely the case when the average
 //! compressed size exceeds half a line.
 
-use crate::fpc::fpcd_line_bytes;
-use crate::line::{lines_of, LINE_BYTES};
+use crate::cache_ratios;
+use crate::line::LINE_BYTES;
 
 /// Set-associativity assumed when pairing candidate lines (lines mapping
 /// to the same set are pairing candidates, as in the referenced design).
-const PAIR_WINDOW: usize = 16;
+pub(crate) const PAIR_WINDOW: usize = 16;
 
 /// Compression ratio achieved by TwoTagCC on a buffer: logical lines over
 /// physical lines after greedy complementary pairing within each
@@ -31,26 +31,18 @@ const PAIR_WINDOW: usize = 16;
 /// assert!((twotag_ratio(&zeros) - 2.0).abs() < 0.05);
 /// ```
 pub fn twotag_ratio(data: &[f32]) -> f64 {
-    let sizes: Vec<usize> = lines_of(data).map(|l| fpcd_line_bytes(&l)).collect();
-    if sizes.is_empty() {
-        return 1.0;
-    }
-    let mut physical = 0usize;
-    for window in sizes.chunks(PAIR_WINDOW) {
-        physical += physical_lines_for_window(window);
-    }
-    sizes.len() as f64 / physical as f64
+    cache_ratios(data).1
 }
 
-/// Greedy complementary pairing inside one set-window: sort the sizes,
-/// then repeatedly match the smallest with the largest that still fits.
-fn physical_lines_for_window(sizes: &[usize]) -> usize {
-    let mut sorted: Vec<usize> = sizes.to_vec();
-    sorted.sort_unstable();
-    let (mut lo, mut hi) = (0usize, sorted.len());
+/// Greedy complementary pairing inside one set-window: sort the sizes in
+/// place, then repeatedly match the smallest with the largest that still
+/// fits.
+pub(crate) fn physical_lines_for_window(sizes: &mut [usize]) -> usize {
+    sizes.sort_unstable();
+    let (mut lo, mut hi) = (0usize, sizes.len());
     let mut physical = 0usize;
     while lo < hi {
-        if hi - lo >= 2 && sorted[lo] + sorted[hi - 1] <= LINE_BYTES {
+        if hi - lo >= 2 && sizes[lo] + sizes[hi - 1] <= LINE_BYTES {
             // The smallest and the largest-fitting share a physical line.
             lo += 1;
             hi -= 1;
@@ -109,8 +101,8 @@ mod tests {
     #[test]
     fn window_pairing_is_greedy_best_fit() {
         // Sizes 10 and 54 fit together (64); 40 and 40 do not.
-        assert_eq!(physical_lines_for_window(&[10, 54]), 1);
-        assert_eq!(physical_lines_for_window(&[40, 40]), 2);
-        assert_eq!(physical_lines_for_window(&[10, 20, 30, 64]), 3);
+        assert_eq!(physical_lines_for_window(&mut [10, 54]), 1);
+        assert_eq!(physical_lines_for_window(&mut [40, 40]), 2);
+        assert_eq!(physical_lines_for_window(&mut [64, 30, 10, 20]), 3);
     }
 }

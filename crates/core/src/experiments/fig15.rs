@@ -8,7 +8,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use zcomp_cachecomp::{limitcc_ratio, twotag_ratio};
+use zcomp_cachecomp::cache_ratios;
 use zcomp_dnn::models::ModelId;
 use zcomp_dnn::sparsity::{generate_activations, SparsityModel};
 use zcomp_isa::ccf::CompareCond;
@@ -156,13 +156,14 @@ pub fn run_with_backend(
                 backend,
             )
             .expect("whole vectors by construction");
+            let (limitcc, twotag) = cache_ratios(&data);
             snapshots.push(Fig15Snapshot {
                 model: id,
                 layer: net.layers[idx].name.clone(),
                 sparsity,
                 zcomp: stream.compression_ratio(),
-                limitcc: limitcc_ratio(&data),
-                twotag: twotag_ratio(&data),
+                limitcc,
+                twotag,
             });
         }
     }

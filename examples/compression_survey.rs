@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example compression_survey`
 
-use zcomp_cachecomp::{limitcc_ratio, twotag_ratio};
+use zcomp_cachecomp::cache_ratios;
 use zcomp_dnn::sparsity::generate_activations;
 use zcomp_isa::ccf::CompareCond;
 use zcomp_isa::compress::compress_f32;
@@ -20,13 +20,8 @@ fn main() {
         let zcomp = compress_f32(&data, CompareCond::Eqz)
             .expect("whole vectors")
             .compression_ratio();
-        println!(
-            "{:>8}% {:>7.2}x {:>8.2}x {:>9.2}x",
-            pct,
-            zcomp,
-            limitcc_ratio(&data),
-            twotag_ratio(&data)
-        );
+        let (limitcc, twotag) = cache_ratios(&data);
+        println!("{pct:>8}% {zcomp:>7.2}x {limitcc:>8.2}x {twotag:>9.2}x");
     }
     println!(
         "\nThe paper's snapshots average 53% sparsity, where ZCOMP reaches\n\
