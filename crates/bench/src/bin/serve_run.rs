@@ -13,8 +13,8 @@
 //! three identically-loaded nodes under the same seeded instance-crash
 //! schedule — uncompressed, compressed-hard-fail, and
 //! compressed-degraded (the PR-1 retry-then-uncompressed brownout) —
-//! reporting goodput and per-class p99, plus a fixed-fleet vs autoscaled
-//! knee comparison under chaos.
+//! reporting goodput and per-class p99, plus one knee search under
+//! chaos.
 //!
 //! Cells run under the supervised sweep runtime (`run_cells`): panic
 //! quarantine, retries, `--resume`, and the multi-process lease fabric
@@ -31,127 +31,17 @@
 //!
 //! ```text
 //! serve_run [--smoke] [--chaos] [--quick|--scale N] [--threads N]
-//!           [--json PATH] [--bench PATH] [--resume] [--attempts N]
+//!           [--json PATH] [--resume] [--attempts N]
 //!           [--deadline-ms MS] [--fabric-dir DIR] [--worker-id ID]
 //!           [--lease-ttl-ms MS] [--workers N] [--quiet]
 //! ```
 
 use std::process::exit;
 
-use serde::Serialize;
-use zcomp::experiments::serve::{run, run_sweep, ServeGridSpec, ServeResult};
-use zcomp::experiments::serve_chaos::{self, ChaosGridSpec, ChaosResult};
+use zcomp::experiments::serve::{run, run_sweep, ServeGridSpec};
+use zcomp::experiments::serve_chaos::{self, ChaosGridSpec};
 use zcomp::serve::determinism::require_byte_identical;
-use zcomp::serve::slo::SloClass;
-use zcomp_bench::{
-    print_machine, print_table, report_supervision, save_json, value_of, Args, Flags,
-};
-
-/// The `BENCH_serve.json` record: the knee QPS pair per network.
-#[derive(Serialize)]
-struct BenchRecord {
-    benchmark: &'static str,
-    scale: usize,
-    networks: Vec<BenchNetwork>,
-    mean_knee_ratio: f64,
-}
-
-#[derive(Serialize)]
-struct BenchNetwork {
-    network: String,
-    max_batch: usize,
-    slo_p99_us: f64,
-    uncompressed_knee_qps: f64,
-    compressed_knee_qps: f64,
-    knee_ratio: f64,
-}
-
-fn bench_record(result: &ServeResult, scale: usize) -> BenchRecord {
-    let networks: Vec<BenchNetwork> = result
-        .rows
-        .iter()
-        .map(|r| BenchNetwork {
-            network: r.model.to_string(),
-            max_batch: r.max_batch,
-            slo_p99_us: r.uncompressed.slo_p99_us,
-            uncompressed_knee_qps: r.uncompressed.knee_qps,
-            compressed_knee_qps: r.compressed.knee_qps,
-            knee_ratio: r.knee_ratio(),
-        })
-        .collect();
-    let mean_knee_ratio = if networks.is_empty() {
-        0.0
-    } else {
-        networks.iter().map(|n| n.knee_ratio).sum::<f64>() / networks.len() as f64
-    };
-    BenchRecord {
-        benchmark: "serve_knee",
-        scale,
-        networks,
-        mean_knee_ratio,
-    }
-}
-
-/// The `BENCH_serve_chaos.json` record: goodput and per-class p99 per
-/// (fault rate, mode), plus the chaos knee comparison.
-#[derive(Serialize)]
-struct ChaosBenchRecord {
-    benchmark: &'static str,
-    scale: usize,
-    rows: Vec<ChaosBenchRow>,
-    fixed_knee_qps: f64,
-    autoscaled_knee_qps: f64,
-}
-
-#[derive(Serialize)]
-struct ChaosBenchRow {
-    fault_rate: f64,
-    mode: String,
-    goodput_qps: f64,
-    p99_interactive_ms: f64,
-    p99_batch_ms: f64,
-    completed: u64,
-    failed: u64,
-    codec_fallbacks: u64,
-    crashes: u64,
-}
-
-fn chaos_bench_record(result: &ChaosResult, scale: usize) -> ChaosBenchRecord {
-    let class_p99_ms = |p: &zcomp::serve::engine::RatePoint, class: SloClass| {
-        p.classes
-            .iter()
-            .find(|c| c.class == class)
-            .map_or(0.0, |c| c.p99_us / 1_000.0)
-    };
-    let rows = result
-        .cells
-        .iter()
-        .filter_map(|cell| {
-            cell.point.as_ref().map(|p| ChaosBenchRow {
-                fault_rate: cell.fault_rate,
-                mode: cell.mode.label().to_string(),
-                goodput_qps: p.goodput_qps,
-                p99_interactive_ms: class_p99_ms(p, SloClass::Interactive),
-                p99_batch_ms: class_p99_ms(p, SloClass::Batch),
-                completed: p.completed,
-                failed: p.failed,
-                codec_fallbacks: p.codec_fallbacks,
-                crashes: p.crashes,
-            })
-        })
-        .collect();
-    ChaosBenchRecord {
-        benchmark: "serve_chaos",
-        scale,
-        rows,
-        fixed_knee_qps: result.autoscale.fixed.as_ref().map_or(0.0, |c| c.knee_qps),
-        autoscaled_knee_qps: result
-            .autoscale
-            .autoscaled
-            .as_ref()
-            .map_or(0.0, |c| c.knee_qps),
-    }
-}
+use zcomp_bench::{print_machine, print_table, report_supervision, Args, Flags};
 
 /// One OK/FAIL line; returns 1 on failure so callers can sum.
 fn check(ok: bool, ok_msg: &str, fail_msg: &str) -> u32 {
@@ -238,10 +128,10 @@ fn smoke() -> ! {
     exit(0);
 }
 
-fn chaos_main(args: &Args, bench: Option<&str>, threads: usize) -> ! {
+fn chaos_main(args: &Args, threads: usize) -> ! {
     let grid = ChaosGridSpec::default_grid().scaled(args.scale);
     println!(
-        "chaos sweep: {} fault rates x {} modes + 2 knee cells, {} tenants, {} arrivals/tenant, {} threads",
+        "chaos sweep: {} fault rates x {} modes + 1 knee cell, {} tenants, {} arrivals/tenant, {} threads",
         grid.fault_rates.len(),
         serve_chaos::MODES.len(),
         grid.params.tenants,
@@ -251,7 +141,7 @@ fn chaos_main(args: &Args, bench: Option<&str>, threads: usize) -> ! {
     let out = args.run(|opts| serve_chaos::run_sweep(&grid, opts));
 
     print_table(&out.result.table());
-    print_table(&out.result.autoscale_table());
+    print_table(&out.result.knee_table());
     if out.result.degraded_never_hard_fails() && out.result.degraded_goodput_dominates() {
         println!(
             "degrade policy held: zero hard failures, goodput >= hard-fail at every fault rate"
@@ -260,23 +150,19 @@ fn chaos_main(args: &Args, bench: Option<&str>, threads: usize) -> ! {
         println!("warning: degrade policy did not dominate hard-fail on this grid");
     }
     args.save_json(&out.result);
-    if let Some(path) = bench {
-        save_json(path, &chaos_bench_record(&out.result, args.scale));
-    }
     exit(report_supervision(&out.supervision));
 }
 
 fn main() {
     // This binary's own flags, parsed around the shared command line.
-    let (mut gate, mut chaos, mut bench) = (false, false, None);
-    let args = Args::from_env_with(Flags::Threaded, |arg, it| {
+    let (mut gate, mut chaos) = (false, false);
+    let args = Args::from_env_with(Flags::Threaded, |arg| {
         match arg {
             "--smoke" => gate = true,
             "--chaos" => chaos = true,
-            "--bench" => bench = Some(value_of(it, "--bench")?),
-            _ => return Ok(false),
+            _ => return false,
         }
-        Ok(true)
+        true
     });
     if gate {
         smoke();
@@ -284,7 +170,7 @@ fn main() {
     print_machine();
     let threads = args.sweep_opts().threads;
     if chaos {
-        chaos_main(&args, bench.as_deref(), threads);
+        chaos_main(&args, threads);
     }
     let grid = ServeGridSpec::default_grid().scaled(args.scale);
     println!(
@@ -312,8 +198,5 @@ fn main() {
         println!("warning: compressed knee did not beat uncompressed on every network");
     }
     args.save_json(&out.result);
-    if let Some(path) = &bench {
-        save_json(path, &bench_record(&out.result, args.scale));
-    }
     exit(report_supervision(&out.supervision));
 }

@@ -52,7 +52,7 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// The next argument, as the value of `flag`.
-pub fn value_of(it: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, CliError> {
+fn value_of(it: &mut dyn Iterator<Item = String>, flag: &str) -> Result<String, CliError> {
     it.next()
         .ok_or_else(|| CliError::new(format!("{flag} needs a value")))
 }
@@ -173,16 +173,16 @@ impl Args {
 
     /// Parses `std::env::args`-style arguments (without argv[0]).
     pub fn parse<I: IntoIterator<Item = String>>(args: I, flags: Flags) -> Result<Args, CliError> {
-        Args::parse_with(args, flags, |_, _| Ok(false))
+        Args::parse_with(args, flags, |_| false)
     }
 
     /// Like [`Args::parse`], but first offers each argument to `extra`,
-    /// which consumes a binary's own flags (pulling values from the
-    /// iterator) and returns whether it did.
+    /// which consumes a binary's own boolean flags and returns whether it
+    /// did.
     pub fn parse_with<I, E>(args: I, flags: Flags, mut extra: E) -> Result<Args, CliError>
     where
         I: IntoIterator<Item = String>,
-        E: FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, CliError>,
+        E: FnMut(&str) -> bool,
     {
         let (run, threaded, cached) = (
             flags >= Flags::Supervised,
@@ -192,7 +192,7 @@ impl Args {
         let mut out = Args::new(flags);
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
-            if extra(&arg, &mut it)? {
+            if extra(&arg) {
                 continue;
             }
             let it = &mut it;
@@ -234,14 +234,14 @@ impl Args {
     /// logging choice (`--quiet` overrides `ZCOMP_LOG`); a malformed
     /// command line prints the error and exits with code 2.
     pub fn from_env(flags: Flags) -> Args {
-        Args::from_env_with(flags, |_, _| Ok(false))
+        Args::from_env_with(flags, |_| false)
     }
 
     /// [`Args::from_env`] with a binary's own flags (see
     /// [`Args::parse_with`]).
     pub fn from_env_with<E>(flags: Flags, extra: E) -> Args
     where
-        E: FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, CliError>,
+        E: FnMut(&str) -> bool,
     {
         let args = Args::parse_with(std::env::args().skip(1), flags, extra).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -259,8 +259,19 @@ impl Args {
     /// already been printed, and losing the JSON copy should not turn a
     /// completed run into a non-zero exit.
     pub fn save_json<T: serde::Serialize>(&self, value: &T) {
-        if let Some(path) = &self.json {
-            save_json(path, value);
+        let Some(path) = &self.json else {
+            return;
+        };
+        let text = match serde_json::to_string_pretty(value) {
+            Ok(t) => t,
+            Err(e) => {
+                zcomp_trace::log_warn!("cannot serialize results ({e}); {path} not written");
+                return;
+            }
+        };
+        match std::fs::write(path, text) {
+            Ok(()) => zcomp_trace::log_info!("wrote {path}"),
+            Err(e) => zcomp_trace::log_warn!("cannot write {path}: {e}"),
         }
     }
 
@@ -307,22 +318,6 @@ impl Args {
         let out = sweep(&self.sweep_opts());
         reap_fabric_workers(siblings);
         out.unwrap_or_else(|e| sweep_error_exit(&e))
-    }
-}
-
-/// Writes a serializable value to `path` as pretty JSON; failures are
-/// logged, not fatal (see [`Args::save_json`]).
-pub fn save_json<T: serde::Serialize>(path: &str, value: &T) {
-    let text = match serde_json::to_string_pretty(value) {
-        Ok(t) => t,
-        Err(e) => {
-            zcomp_trace::log_warn!("cannot serialize results ({e}); {path} not written");
-            return;
-        }
-    };
-    match std::fs::write(path, text) {
-        Ok(()) => zcomp_trace::log_info!("wrote {path}"),
-        Err(e) => zcomp_trace::log_warn!("cannot write {path}: {e}"),
     }
 }
 
@@ -595,19 +590,19 @@ mod tests {
 
     #[test]
     fn a_binarys_own_flags_parse_around_the_shared_ones() {
-        let mut bench = None;
+        let mut chaos = false;
         let a = Args::parse_with(
-            ["--bench", "B.json", "--threads", "2"].map(String::from),
+            ["--threads", "2", "--chaos", "--quick"].map(String::from),
             Flags::Threaded,
-            |arg, it| match arg {
-                "--bench" => value_of(it, "--bench")
-                    .map(|v| bench = Some(v))
-                    .map(|()| true),
-                _ => Ok(false),
+            |arg| {
+                chaos |= arg == "--chaos";
+                arg == "--chaos"
             },
         )
         .unwrap();
-        assert_eq!(bench.as_deref(), Some("B.json"));
-        assert_eq!(a.threads, 2);
+        assert!(chaos);
+        assert_eq!((a.threads, a.scale), (2, 64));
+        let e = parse(&["--chaos"], Flags::Threaded).unwrap_err();
+        assert!(e.to_string().contains("unknown argument"), "{e}");
     }
 }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use zcomp_dnn::deepbench::{all_configs, DeepBenchConfig};
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::nnz::nnz_synthetic;
-use zcomp_kernels::relu::{run_relu_with_path, ExecPath, ReluOpts, ReluRunResult, ReluScheme};
+use zcomp_kernels::relu::{run_relu, ReluOpts, ReluRunResult, ReluScheme};
 use zcomp_replay::config_fingerprint;
 use zcomp_sim::config::SimConfig;
 use zcomp_sim::engine::Machine;
@@ -226,27 +226,11 @@ pub fn run(scale_divisor: usize, sparsity: f64) -> Fig12Result {
     run_configs(&all_configs(), scale_divisor, sparsity)
 }
 
-/// [`run`] with an explicit kernel execution path — the `bench_sim`
-/// harness times the sweep under both paths and asserts bit-identity.
-pub fn run_with_path(scale_divisor: usize, sparsity: f64, path: ExecPath) -> Fig12Result {
-    run_configs_with_path(&all_configs(), scale_divisor, sparsity, path)
-}
-
 /// Runs a subset of configurations (used by the ablations and tests).
 pub fn run_configs(
     configs: &[DeepBenchConfig],
     scale_divisor: usize,
     sparsity: f64,
-) -> Fig12Result {
-    run_configs_with_path(configs, scale_divisor, sparsity, ExecPath::Batched)
-}
-
-/// [`run_configs`] with an explicit kernel execution path.
-pub fn run_configs_with_path(
-    configs: &[DeepBenchConfig],
-    scale_divisor: usize,
-    sparsity: f64,
-    path: ExecPath,
 ) -> Fig12Result {
     let _span = zcomp_trace::tracer::span("experiment", "fig12");
     #[cfg(feature = "trace")]
@@ -262,7 +246,7 @@ pub fn run_configs_with_path(
                 format!("fig12/{}/{scheme:?}", config.name)
             });
             let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
-            let result = run_relu_with_path(&mut machine, scheme, &nnz, &ReluOpts::default(), path);
+            let result = run_relu(&mut machine, scheme, &nnz, &ReluOpts::default());
             if scheme == ReluScheme::Zcomp {
                 zcomp_prefetch.merge(&machine.summary().l2_prefetch);
             }
@@ -359,13 +343,7 @@ fn simulate_cell(
         6.0,
         cell_seed(index),
     );
-    run_relu_with_path(
-        machine,
-        scheme,
-        &nnz,
-        &ReluOpts::default(),
-        ExecPath::Batched,
-    )
+    run_relu(machine, scheme, &nnz, &ReluOpts::default())
 }
 
 /// Simulates one (config, scheme) cell on a fresh machine.

@@ -23,9 +23,9 @@
 //! compression's serving win (the PR-8 knee gap) does not have to be paid
 //! back in fragility.
 //!
-//! A second, smaller comparison runs the knee search itself under chaos
-//! (crashes + mid-grid fault rate, degrade policy) with a fixed fleet vs
-//! a reactive autoscaler, reporting both capacity estimates.
+//! One more cell runs the knee search itself under chaos (crashes + the
+//! mid-grid fault rate, degrade policy) on the fixed fleet, reporting the
+//! capacity estimate that survives the crash process.
 
 use serde::{Deserialize, Serialize};
 use zcomp_dnn::models::ModelId;
@@ -35,7 +35,6 @@ use zcomp_sim::config::SimConfig;
 
 use crate::report::Table;
 use crate::serve::admission::AdmissionConfig;
-use crate::serve::autoscale::AutoscaleConfig;
 use crate::serve::chaos::{ChaosConfig, DegradePolicy};
 use crate::serve::engine::{simulate, RatePoint};
 use crate::serve::knee::{derive_slo, find_knee, KneeOpts, ServeCurve};
@@ -118,9 +117,9 @@ pub struct ChaosParams {
     pub transient_fraction: f64,
     /// Retry-read cost as a fraction of the compressed service time.
     pub retry_cost_frac: f64,
-    /// Codec fault rate used by the fixed-vs-autoscaled knee comparison.
+    /// Codec fault rate of the knee cell.
     pub knee_fault_rate: f64,
-    /// Knee bisection iterations for the autoscale comparison.
+    /// Knee bisection iterations of the knee cell.
     pub bisect_iters: usize,
     /// Master arrival/drift seed.
     pub seed: u64,
@@ -150,8 +149,8 @@ impl Default for ChaosParams {
     }
 }
 
-/// The chaos grid: codec fault rates × three modes, plus the
-/// fixed-vs-autoscaled knee comparison.
+/// The chaos grid: codec fault rates × three modes, plus one knee search
+/// under chaos.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosGridSpec {
     /// Per-batch codec fault probabilities swept.
@@ -191,14 +190,14 @@ impl ChaosGridSpec {
     }
 
     /// Total supervised cells: one rate point per (fault rate, mode),
-    /// plus the two knee-comparison cells.
+    /// plus the knee cell.
     pub fn cell_count(&self) -> usize {
-        self.fault_rates.len() * MODES.len() + 2
+        self.fault_rates.len() * MODES.len() + 1
     }
 }
 
 /// One supervised cell's payload: a rate point for grid cells, a knee
-/// curve for the two autoscale-comparison cells.
+/// curve for the knee cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosCell {
     /// Grid-cell payload.
@@ -218,22 +217,13 @@ pub struct ChaosCellResult {
     pub point: Option<RatePoint>,
 }
 
-/// Fixed-fleet vs autoscaled knee search under chaos.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AutoscaleComparison {
-    /// Knee with the fleet pinned at the configured instance count.
-    pub fixed: Option<ServeCurve>,
-    /// Knee with the reactive autoscaler enabled.
-    pub autoscaled: Option<ServeCurve>,
-}
-
 /// Complete chaos-serving result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChaosResult {
     /// Grid observations, grouped by fault rate then [`MODES`] order.
     pub cells: Vec<ChaosCellResult>,
-    /// The knee comparison.
-    pub autoscale: AutoscaleComparison,
+    /// The knee search under chaos (`None` if the cell was quarantined).
+    pub knee: Option<ServeCurve>,
     /// Cells the supervised sweep quarantined (their payload slots hold
     /// `None`). Always empty for the serial runner.
     pub quarantined: Vec<CellFailure>,
@@ -333,31 +323,26 @@ impl ChaosResult {
         t
     }
 
-    /// The fixed-vs-autoscaled knee table.
-    pub fn autoscale_table(&self) -> Table {
+    /// The knee-under-chaos table.
+    pub fn knee_table(&self) -> Table {
         let mut t = Table::new(
-            "Knee under chaos: fixed fleet vs reactive autoscaler",
-            &["fleet", "knee (qps)", "outcome", "points probed"],
+            "Knee under chaos (crashes + codec faults, degrade policy)",
+            &["knee (qps)", "outcome", "points probed", "crashes"],
         );
-        for (label, curve) in [
-            ("fixed", &self.autoscale.fixed),
-            ("autoscaled", &self.autoscale.autoscaled),
-        ] {
-            match curve {
-                Some(c) => t.row([
-                    label.to_string(),
-                    format!("{:.1}", c.knee_qps),
-                    c.outcome.label().to_string(),
-                    c.points.len().to_string(),
-                ]),
-                None => t.row([
-                    label.to_string(),
-                    "quarantined".to_string(),
-                    String::new(),
-                    String::new(),
-                ]),
-            };
-        }
+        match &self.knee {
+            Some(c) => t.row([
+                format!("{:.1}", c.knee_qps),
+                c.outcome.label().to_string(),
+                c.points.len().to_string(),
+                c.points.iter().map(|p| p.crashes).sum::<u64>().to_string(),
+            ]),
+            None => t.row([
+                "quarantined".to_string(),
+                String::new(),
+                String::new(),
+                String::new(),
+            ]),
+        };
         t
     }
 }
@@ -421,25 +406,14 @@ fn run_point_cell(p: &ChaosParams, fault_rate: f64, mode: ChaosMode) -> ChaosCel
     }
 }
 
-/// Runs one knee-comparison cell (fixed fleet or autoscaled), chaos on,
-/// degrade policy, at the mid-grid fault rate.
-fn run_knee_cell(p: &ChaosParams, autoscaled: bool) -> ChaosCell {
+/// Runs the knee cell: chaos on, degrade policy, at the mid-grid fault
+/// rate.
+fn run_knee_cell(p: &ChaosParams) -> ChaosCell {
     let (slo_ns, max_wait_ns, _, _) = slo_and_offered(p);
     let mut cfg = cell_config(p, Scheme::Zcomp);
     cfg.slo_ns = slo_ns;
     cfg.max_wait_ns = max_wait_ns;
     cfg.chaos = Some(chaos_config(p, p.knee_fault_rate, DegradePolicy::Degrade));
-    if autoscaled {
-        // Floor at the baseline fleet (an autoscaler that shrinks to one
-        // instance under a crash process cannot hold any p99 bound — the
-        // single enabled instance's repairs dominate the tail) and give
-        // it burst headroom to twice the fixed size.
-        cfg.autoscale = Some(AutoscaleConfig {
-            min_instances: cfg.instances,
-            max_instances: cfg.instances * 2,
-            ..AutoscaleConfig::default()
-        });
-    }
     let mut service = ServiceModel::for_network(&cfg);
     let opts = KneeOpts {
         bisect_iters: p.bisect_iters,
@@ -454,7 +428,7 @@ fn run_knee_cell(p: &ChaosParams, autoscaled: bool) -> ChaosCell {
 /// Flat cell index → work description.
 enum CellSpec {
     Point { fault_rate: f64, mode: ChaosMode },
-    Knee { autoscaled: bool },
+    Knee,
 }
 
 fn cell_of(grid: &ChaosGridSpec, idx: usize) -> CellSpec {
@@ -465,9 +439,7 @@ fn cell_of(grid: &ChaosGridSpec, idx: usize) -> CellSpec {
             mode: MODES[idx % MODES.len()],
         }
     } else {
-        CellSpec::Knee {
-            autoscaled: idx - grid_cells == 1,
-        }
+        CellSpec::Knee
     }
 }
 
@@ -493,8 +465,8 @@ fn cell_key(grid: &ChaosGridSpec, idx: usize) -> String {
         CellSpec::Point { fault_rate, mode } => {
             format!("chaos;{common};rate={fault_rate};mode={}", mode.label())
         }
-        CellSpec::Knee { autoscaled } => format!(
-            "chaos-knee;{common};rate={};bisect={};autoscaled={autoscaled}",
+        CellSpec::Knee => format!(
+            "chaos-knee;{common};rate={};bisect={}",
             p.knee_fault_rate, p.bisect_iters
         ),
     }
@@ -503,7 +475,7 @@ fn cell_key(grid: &ChaosGridSpec, idx: usize) -> String {
 fn run_cell(grid: &ChaosGridSpec, idx: usize) -> ChaosCell {
     match cell_of(grid, idx) {
         CellSpec::Point { fault_rate, mode } => run_point_cell(&grid.params, fault_rate, mode),
-        CellSpec::Knee { autoscaled } => run_knee_cell(&grid.params, autoscaled),
+        CellSpec::Knee => run_knee_cell(&grid.params),
     }
 }
 
@@ -514,10 +486,7 @@ fn assemble(
     #[cfg(feature = "trace")] registry: &mut zcomp_trace::metrics::MetricsRegistry,
 ) -> ChaosResult {
     let mut cells = Vec::with_capacity(grid.fault_rates.len() * MODES.len());
-    let mut autoscale = AutoscaleComparison {
-        fixed: None,
-        autoscaled: None,
-    };
+    let mut knee = None;
     for (idx, outcome) in outcomes.into_iter().enumerate() {
         let payload = match outcome {
             CellOutcome::Completed { value, .. } => {
@@ -538,19 +507,12 @@ fn assemble(
                 mode,
                 point: payload.and_then(|c| c.point),
             }),
-            CellSpec::Knee { autoscaled } => {
-                let curve = payload.and_then(|c| c.curve);
-                if autoscaled {
-                    autoscale.autoscaled = curve;
-                } else {
-                    autoscale.fixed = curve;
-                }
-            }
+            CellSpec::Knee => knee = payload.and_then(|c| c.curve),
         }
     }
     ChaosResult {
         cells,
-        autoscale,
+        knee,
         quarantined,
         #[cfg(feature = "trace")]
         metrics: registry.summary(),
@@ -629,6 +591,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::knee::KneeOutcome;
     use std::sync::OnceLock;
 
     /// A cheap real-simulator grid: ResNet-32 service sims run in
@@ -680,17 +643,23 @@ mod tests {
     }
 
     #[test]
-    fn knee_comparison_produces_both_curves() {
+    fn knee_search_runs_under_chaos_on_the_fixed_fleet() {
         let r = quick();
-        let fixed = r.autoscale.fixed.as_ref().expect("fixed knee");
-        let scaled = r.autoscale.autoscaled.as_ref().expect("autoscaled knee");
-        assert!(fixed.knee_qps > 0.0);
-        assert!(scaled.knee_qps > 0.0);
-        // The autoscaled node reacted: some rate point scaled up.
-        assert!(scaled
-            .points
-            .iter()
-            .any(|p| p.scale_ups > 0 || p.peak_instances > 0));
+        let knee = r.knee.as_ref().expect("serial run completes the knee cell");
+        assert_eq!(knee.outcome, KneeOutcome::Converged);
+        assert!(knee.knee_qps > 0.0);
+        let p = &tiny_grid().params;
+        assert!(
+            knee.points.len() >= p.bisect_iters,
+            "{} points probed, {} bisection steps",
+            knee.points.len(),
+            p.bisect_iters
+        );
+        let instances = cell_config(p, Scheme::Zcomp).instances as u64;
+        for point in &knee.points {
+            assert!(point.crashes > 0, "no crash at {} qps", point.offered_qps);
+            assert!(point.peak_instances <= instances, "{point:?}");
+        }
     }
 
     #[test]
@@ -715,6 +684,8 @@ mod tests {
     fn tables_render() {
         let r = quick();
         assert!(r.table().render().contains("degraded"));
-        assert!(r.autoscale_table().render().contains("autoscaled"));
+        let knee = r.knee_table().render();
+        assert!(knee.contains("Knee under chaos"), "{knee}");
+        assert!(knee.contains("converged"), "{knee}");
     }
 }

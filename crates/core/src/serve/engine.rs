@@ -22,10 +22,7 @@
 //! chaos process (see [`super::chaos`]): instances crash and recover on a
 //! pre-generated seeded schedule (crashes preempt the in-flight batch
 //! back to the queue head), and compressed batches roll codec faults that
-//! resolve through the PR-1 retry-then-uncompressed policy. A reactive
-//! [`Autoscaler`] can grow and shrink the enabled fleet between
-//! `min_instances` and `max_instances` with hysteresis and a cold-start
-//! delay.
+//! resolve through the PR-1 retry-then-uncompressed policy.
 //!
 //! Request latency is `batch completion − arrival`; completions price the
 //! batch through [`ServiceModel::batch_cost`] with the number of busy
@@ -47,7 +44,6 @@ use zcomp_trace::serve::names;
 
 use super::admission::TokenBucket;
 use super::arrival::{self, NS_PER_SEC};
-use super::autoscale::{Autoscaler, ScaleDecision};
 use super::chaos::{ChaosState, ChaosTransition, DegradePolicy};
 use super::service::ServiceModel;
 use super::slo::{ClassScheduler, ReadyTenant, SloClass};
@@ -116,13 +112,9 @@ pub struct RatePoint {
     pub codec_retries: u64,
     /// Faulted batches that fell back to uncompressed service.
     pub codec_fallbacks: u64,
-    /// Autoscaler scale-up decisions taken.
-    pub scale_ups: u64,
-    /// Autoscaler scale-down decisions taken.
-    pub scale_downs: u64,
-    /// Time-averaged enabled-and-up instance count.
+    /// Time-averaged count of instances not down after a crash.
     pub mean_instances: f64,
-    /// Peak enabled-and-up instance count.
+    /// Peak count of instances not down after a crash.
     pub peak_instances: u64,
     /// Latency percentiles, microseconds (from the registry histogram).
     pub p50_us: f64,
@@ -183,10 +175,6 @@ enum EventKind {
     Crash { instance: usize },
     /// Chaos: the instance comes back up.
     Recover { instance: usize },
-    /// Autoscaler evaluation tick.
-    ScaleEval,
-    /// A cold-started instance becomes serving-capable; re-run dispatch.
-    Poke,
 }
 
 type Event = (u64, u64, EventKind);
@@ -201,16 +189,11 @@ struct Inflight {
     failed: bool,
 }
 
-/// One instance slot: the autoscaler enables/disables it, the chaos
-/// process crashes/recovers it, and it serves while enabled, up, warm and
-/// idle.
+/// One instance slot: the chaos process crashes/recovers it, and it
+/// serves while up and idle.
 struct Slot {
-    /// The autoscaler wants this slot in the fleet.
-    enabled: bool,
     /// Not currently crashed.
     up: bool,
-    /// Serving-capable no earlier than this (cold start).
-    cold_until: u64,
     busy: Option<Inflight>,
     /// Generation token: bumped on crash preemption so stale `Done`
     /// events are ignored.
@@ -220,12 +203,8 @@ struct Slot {
 }
 
 impl Slot {
-    fn serving_capable(&self, now: u64) -> bool {
-        self.enabled && self.up && now >= self.cold_until
-    }
-
-    fn free(&self, now: u64) -> bool {
-        self.serving_capable(now) && self.busy.is_none()
+    fn free(&self) -> bool {
+        self.up && self.busy.is_none()
     }
 }
 
@@ -283,14 +262,9 @@ fn simulate_inner(
     let epoch_len = (horizon_ns / cfg.drift_epochs as u64).max(1);
     let epoch_of = |now: u64| ((now / epoch_len) as usize).min(cfg.drift_epochs - 1);
 
-    // Instance slots: the configured fleet enabled, autoscale headroom
-    // disabled until asked for.
-    let slots_total = cfg.instance_slots();
-    let mut slots: Vec<Slot> = (0..slots_total)
-        .map(|i| Slot {
-            enabled: i < cfg.instances,
+    let mut slots: Vec<Slot> = (0..cfg.instances)
+        .map(|_| Slot {
             up: true,
-            cold_until: 0,
             busy: None,
             token: 0,
             free_since: 0,
@@ -301,7 +275,7 @@ fn simulate_inner(
     // Chaos: pre-generated crash/recover schedule plus per-batch codec
     // fault probes. Codec faults only strike compressed streams.
     let mut chaos_state = cfg.chaos.as_ref().map(|c| {
-        let (state, schedule) = ChaosState::new(c, slots_total, horizon_ns);
+        let (state, schedule) = ChaosState::new(c, cfg.instances, horizon_ns);
         for ChaosTransition {
             at,
             instance,
@@ -319,18 +293,6 @@ fn simulate_inner(
         state
     });
     let compressed = cfg.scheme != Scheme::None;
-
-    // Autoscaler evaluation ticks over twice the trace horizon (the drain
-    // is covered as long as it is no longer than the trace itself).
-    let mut autoscaler = cfg.autoscale.as_ref().map(|s| {
-        let mut at = s.eval_interval_ns;
-        while at <= horizon_ns.saturating_mul(2) {
-            heap.push(Reverse((at, seq, EventKind::ScaleEval)));
-            seq += 1;
-            at += s.eval_interval_ns;
-        }
-        Autoscaler::new(*s)
-    });
 
     // Admission: one token bucket per tenant, refilled at a multiple of
     // the tenant's share of the node's ideal capacity (anchoring to
@@ -365,7 +327,6 @@ fn simulate_inner(
     let (mut rejected, mut shed, mut failed, mut preempted) = (0u64, 0u64, 0u64, 0u64);
     let (mut crashes, mut recoveries) = (0u64, 0u64);
     let (mut codec_faults, mut codec_retries, mut codec_fallbacks) = (0u64, 0u64, 0u64);
-    let (mut scale_ups, mut scale_downs) = (0u64, 0u64);
     let mut class_counts = [[0u64; 3]; 7]; // [stat][class]
     const CA: usize = 0; // arrivals
     const CC: usize = 1; // completed
@@ -379,9 +340,9 @@ fn simulate_inner(
     let mut max_depth = 0u64;
     let mut peak_slowdown = 1.0f64;
     let mut last_completion = 0u64;
-    // Time integral of the enabled-and-up instance count.
+    // Time integral of the up instance count.
     let mut capacity_integral = 0.0f64;
-    let mut capacity_now = slots.iter().filter(|s| s.enabled && s.up).count();
+    let mut capacity_now = slots.len();
     let mut peak_instances = capacity_now as u64;
     let mut last_event_t = 0u64;
 
@@ -485,49 +446,13 @@ fn simulate_inner(
                     trace_serve::chaos_recover();
                 }
             }
-            EventKind::ScaleEval => {
-                if let Some(scaler) = autoscaler.as_mut() {
-                    let queued: usize = queues.iter().map(VecDeque::len).sum();
-                    let enabled = slots.iter().filter(|s| s.enabled).count();
-                    match scaler.decide(queued, enabled) {
-                        ScaleDecision::Up => {
-                            if let Some(i) = slots.iter().position(|s| !s.enabled) {
-                                slots[i].enabled = true;
-                                slots[i].cold_until = now + scaler.config().cold_start_ns;
-                                slots[i].free_since = slots[i].cold_until;
-                                scale_ups += 1;
-                                trace_serve::scale_up();
-                                heap.push(Reverse((slots[i].cold_until, seq, EventKind::Poke)));
-                                seq += 1;
-                            }
-                        }
-                        ScaleDecision::Down => {
-                            // Only an idle enabled slot may be retired;
-                            // prefer the highest index so the base fleet
-                            // stays stable.
-                            if let Some(i) =
-                                slots.iter().rposition(|s| s.enabled && s.busy.is_none())
-                            {
-                                slots[i].enabled = false;
-                                scale_downs += 1;
-                                trace_serve::scale_down();
-                            }
-                        }
-                        ScaleDecision::Hold => {}
-                    }
-                    let up_now = slots.iter().filter(|s| s.enabled && s.up).count();
-                    registry.observe(names::INSTANCES_UP, up_now as f64);
-                    trace_serve::instances_up(up_now as f64);
-                }
-            }
-            EventKind::Poke => {}
         }
-        capacity_now = slots.iter().filter(|s| s.enabled && s.up).count();
+        capacity_now = slots.iter().filter(|s| s.up).count();
         peak_instances = peak_instances.max(capacity_now as u64);
 
         // Admit batches while instances are free; otherwise arm the
         // earliest max-wait deadline so partial batches still flush.
-        while let Some(slot_idx) = slots.iter().position(|s| s.free(now)) {
+        while let Some(slot_idx) = slots.iter().position(Slot::free) {
             // Deadline shedder: queued requests already past their class
             // budget are dropped at dispatch time instead of served.
             if cfg.admission.deadline_shed {
@@ -653,7 +578,7 @@ fn simulate_inner(
 
         // Arm one flush deadline per still-waiting head, but only while
         // an instance could actually take the flushed batch.
-        if slots.iter().any(|s| s.free(now)) {
+        if slots.iter().any(Slot::free) {
             for (ti, q) in queues.iter().enumerate() {
                 if let Some(&head) = q.front() {
                     let deadline = (head + cfg.max_wait_ns).max(now + 1);
@@ -686,8 +611,6 @@ fn simulate_inner(
     registry.incr(names::CODEC_FAULTS, codec_faults);
     registry.incr(names::CODEC_RETRIES, codec_retries);
     registry.incr(names::CODEC_FALLBACKS, codec_fallbacks);
-    registry.incr(names::SCALE_UPS, scale_ups);
-    registry.incr(names::SCALE_DOWNS, scale_downs);
 
     let (p50, p95, p99, mean) = registry
         .histogram(names::LATENCY_US)
@@ -751,8 +674,6 @@ fn simulate_inner(
         codec_faults,
         codec_retries,
         codec_fallbacks,
-        scale_ups,
-        scale_downs,
         mean_instances,
         peak_instances,
         p50_us: p50,
@@ -778,7 +699,6 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::super::admission::AdmissionConfig;
-    use super::super::autoscale::AutoscaleConfig;
     use super::super::chaos::ChaosConfig;
     use super::super::determinism::require_byte_identical;
     use super::super::service::ServiceProfile;
@@ -1033,25 +953,6 @@ mod tests {
     }
 
     #[test]
-    fn autoscaler_grows_the_fleet_under_load() {
-        let (mut cfg, mut service) = test_cfg(1, 1);
-        cfg.slo_ns = 200_000_000;
-        cfg.autoscale = Some(AutoscaleConfig {
-            min_instances: 1,
-            max_instances: 4,
-            cold_start_ns: 2_000_000,
-            eval_interval_ns: 1_000_000,
-            ..AutoscaleConfig::default()
-        });
-        // 3x the single-instance capacity: depth builds, the scaler reacts.
-        let p = simulate(&cfg, &mut service, 3_000.0);
-        assert!(p.scale_ups > 0, "sustained overload must scale up");
-        assert!(p.peak_instances > 1);
-        assert!(p.mean_instances > 1.0, "mean {}", p.mean_instances);
-        assert_eq!(accounted(&p), p.arrivals);
-    }
-
-    #[test]
     fn chaos_runs_replay_byte_identically() {
         let mk = || {
             let (mut cfg, service) = test_cfg(2, 4);
@@ -1063,10 +964,6 @@ mod tests {
                 mttr_s: 0.01,
                 codec_fault_rate: 0.1,
                 ..ChaosConfig::quiet(21)
-            });
-            cfg.autoscale = Some(AutoscaleConfig {
-                max_instances: 4,
-                ..AutoscaleConfig::default()
             });
             (cfg, service)
         };

@@ -34,8 +34,6 @@
 //!   deadline-aware shedder policy.
 //! * [`chaos`] — seeded instance crash/recovery schedules plus codec
 //!   faults resolved through the PR-1 retry-then-uncompressed policy.
-//! * [`autoscale`] — a reactive instance-count controller with
-//!   hysteresis and cold-start delay.
 //! * [`determinism`] — non-panicking byte-identity self-checks for the
 //!   "same seed ⇒ same report" invariant.
 //!
@@ -45,7 +43,6 @@
 
 pub mod admission;
 pub mod arrival;
-pub mod autoscale;
 pub mod chaos;
 pub mod determinism;
 pub mod engine;
@@ -60,7 +57,6 @@ use zcomp_sim::config::SimConfig;
 
 use admission::AdmissionConfig;
 use arrival::ArrivalShape;
-use autoscale::AutoscaleConfig;
 use chaos::ChaosConfig;
 use slo::SloClass;
 
@@ -125,8 +121,6 @@ pub struct ServeConfig {
     /// Chaos process: instance crashes and codec faults. `None` runs a
     /// healthy fleet.
     pub chaos: Option<ChaosConfig>,
-    /// Reactive autoscaler. `None` keeps the fleet fixed at `instances`.
-    pub autoscale: Option<AutoscaleConfig>,
 }
 
 impl ServeConfig {
@@ -176,7 +170,6 @@ impl ServeConfig {
             sim: SimConfig::table1(),
             admission: AdmissionConfig::permissive(),
             chaos: None,
-            autoscale: None,
         }
     }
 
@@ -217,21 +210,6 @@ impl ServeConfig {
         if let Some(chaos) = &self.chaos {
             chaos.validate();
         }
-        if let Some(scale) = &self.autoscale {
-            scale.validate();
-            assert!(
-                self.instances >= scale.min_instances && self.instances <= scale.max_instances,
-                "instances must start inside the autoscale range"
-            );
-        }
-    }
-
-    /// Instance slots the engine allocates: the configured fleet, plus
-    /// headroom up to the autoscaler's ceiling.
-    pub fn instance_slots(&self) -> usize {
-        self.autoscale
-            .as_ref()
-            .map_or(self.instances, |s| s.max_instances.max(self.instances))
     }
 
     /// Total arrivals generated across tenants at one rate point.

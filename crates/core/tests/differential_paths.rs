@@ -7,7 +7,8 @@
 //! thread counts, schemes, header placements and unroll factors through
 //! both paths and compare the complete serialized results (which include
 //! `CacheStats` and `TrafficStats` for every cache level), plus captured
-//! `.ztrc` trace bytes.
+//! `.ztrc` trace bytes. A directed test pins six fixed configurations at
+//! the paper's 53% operating point.
 
 use proptest::prelude::*;
 
@@ -33,6 +34,34 @@ fn run_path(scheme: ReluScheme, nnz: &[u8], opts: &ReluOpts, path: ExecPath) -> 
     let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
     let result = run_relu_with_path(&mut machine, scheme, nnz, opts, path);
     serde_json::to_string(&(&result, &machine.summary())).expect("serialize")
+}
+
+/// Six fixed configurations on one 64 Ki-element tensor at 53% sparsity:
+/// every scheme interleaved at 16 threads, then ZCOMP with separate
+/// headers, an odd thread count with 4x unroll, and a single thread.
+#[test]
+fn fixed_configurations_match_reference() {
+    let nnz = nnz_synthetic(64 * 1024, 0.53, 6.0, 9);
+    for (scheme, header_mode, threads, unroll) in [
+        (ReluScheme::Avx512Vec, HeaderMode::Interleaved, 16, 1),
+        (ReluScheme::Avx512Comp, HeaderMode::Interleaved, 16, 1),
+        (ReluScheme::Zcomp, HeaderMode::Interleaved, 16, 1),
+        (ReluScheme::Zcomp, HeaderMode::Separate, 16, 1),
+        (ReluScheme::Zcomp, HeaderMode::Interleaved, 7, 4),
+        (ReluScheme::Zcomp, HeaderMode::Separate, 1, 2),
+    ] {
+        let opts = ReluOpts {
+            threads,
+            header_mode,
+            unroll,
+            ..ReluOpts::default()
+        };
+        assert_eq!(
+            run_path(scheme, &nnz, &opts, ExecPath::Batched),
+            run_path(scheme, &nnz, &opts, ExecPath::Reference),
+            "{scheme} {header_mode:?} t{threads} u{unroll}: batched and reference paths diverge"
+        );
+    }
 }
 
 proptest! {

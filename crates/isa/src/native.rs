@@ -39,10 +39,10 @@
 //!
 //! Every native path must be **byte-identical** to the scalar codec:
 //! same stream bytes, same headers, same `total_nnz`, same expansion,
-//! same error offsets on malformed streams. This is enforced three ways:
-//! differential proptests (`tests/differential_native.rs`) across all
-//! dtypes and every ladder rung the host supports, the `bench_codec
-//! --smoke` CI gate, and debug assertions in the dispatch layer.
+//! same error offsets on malformed streams. This is enforced two ways:
+//! differential proptests and directed tests
+//! (`tests/differential_native.rs`) across all dtypes and every ladder
+//! rung the host supports, and debug assertions in the dispatch layer.
 
 use std::sync::OnceLock;
 
@@ -267,7 +267,7 @@ pub(crate) fn f32_as_bytes_mut(data: &mut [f32]) -> &mut [u8] {
 }
 
 // ---------------------------------------------------------------------
-// per-rung entry points (hidden: for differential tests and bench_codec)
+// per-rung entry points (hidden: for the differential tests)
 // ---------------------------------------------------------------------
 
 /// Compresses at a specific ladder rung.

@@ -11,6 +11,8 @@
 //! emulated F16/I8 paths split on, fp16 special values, NaN/-0.0).
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use zcomp_isa::buffer::{compress_bytes_with_backend, expand_bytes_into_with_backend};
 use zcomp_isa::ccf::CompareCond;
@@ -159,6 +161,48 @@ fn full_mask_vectors() {
     for ty in TYPES {
         for mode in MODES {
             assert_all_levels_match(&data, ty, CompareCond::Eqz, mode);
+        }
+    }
+}
+
+/// A deterministic typed buffer of `vectors` vectors with roughly
+/// `sparsity` of its lanes zero, zeroed lane-at-a-time so runs of every
+/// length and alignment appear.
+fn synthetic_buffer(ty: ElemType, vectors: usize, sparsity: f64, seed: u64) -> Vec<u8> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut data = vec![0u8; vectors * VECTOR_BYTES];
+    for lane in data.chunks_mut(ty.size_bytes()) {
+        if !rng.gen_bool(sparsity) {
+            for b in lane.iter_mut() {
+                *b = rng.gen_range(0u8..=255) | 1; // nonzero under every dtype view
+            }
+        }
+    }
+    data
+}
+
+#[test]
+fn seeded_sparse_and_ragged_tail_buffers() {
+    for ty in TYPES {
+        // Final vector nearly full, so its payload ends within a
+        // register's width of the data region's end: the tail-slack path
+        // of the native expand.
+        let mut ragged_tail = synthetic_buffer(ty, 5, 0.9, 0xC0DEC + 2);
+        let last = ragged_tail.len() - VECTOR_BYTES;
+        for (i, b) in ragged_tail[last..].iter_mut().enumerate() {
+            *b = (i % 97) as u8 | 1;
+        }
+        let patterns = [
+            synthetic_buffer(ty, 16, 0.5, 0xC0DEC),
+            synthetic_buffer(ty, 16, 0.95, 0xC0DEC + 1),
+            ragged_tail,
+        ];
+        for data in &patterns {
+            for cond in CONDS {
+                for mode in MODES {
+                    assert_all_levels_match(data, ty, cond, mode);
+                }
+            }
         }
     }
 }

@@ -159,7 +159,7 @@ pub fn run_relu(
 }
 
 /// [`run_relu`] with an explicit execution path — the differential tests
-/// and the `bench_sim` harness drive both paths and compare.
+/// drive both paths and compare.
 ///
 /// # Panics
 ///

@@ -65,13 +65,6 @@ pub mod names {
     pub const CODEC_RETRIES: &str = "serve.chaos.codec_retries";
     /// Counter: faulted batches that fell back to uncompressed service.
     pub const CODEC_FALLBACKS: &str = "serve.chaos.codec_fallbacks";
-    /// Counter: autoscaler scale-up decisions.
-    pub const SCALE_UPS: &str = "serve.scale.ups";
-    /// Counter: autoscaler scale-down decisions.
-    pub const SCALE_DOWNS: &str = "serve.scale.downs";
-    /// Histogram: serving-capable instance count sampled at every
-    /// autoscaler evaluation.
-    pub const INSTANCES_UP: &str = "serve.scale.instances_up";
     /// Histogram: end-to-end latency of Interactive-class requests,
     /// microseconds.
     pub const LATENCY_US_INTERACTIVE: &str = "serve.latency_us.interactive";
@@ -128,24 +121,6 @@ pub fn codec_fault() {
     tracer::instant("serve", "chaos.codec_fault");
 }
 
-/// Instant: the autoscaler enabled an instance.
-#[inline]
-pub fn scale_up() {
-    tracer::instant("serve", "scale.up");
-}
-
-/// Instant: the autoscaler disabled an idle instance.
-#[inline]
-pub fn scale_down() {
-    tracer::instant("serve", "scale.down");
-}
-
-/// Counter sample: serving-capable instance count at a scale evaluation.
-#[inline]
-pub fn instances_up(count: f64) {
-    tracer::counter(names::INSTANCES_UP, count);
-}
-
 #[cfg(test)]
 mod tests {
     use super::names;
@@ -172,9 +147,6 @@ mod tests {
             names::CODEC_FAULTS,
             names::CODEC_RETRIES,
             names::CODEC_FALLBACKS,
-            names::SCALE_UPS,
-            names::SCALE_DOWNS,
-            names::INSTANCES_UP,
             names::LATENCY_US_INTERACTIVE,
             names::LATENCY_US_BATCH,
             names::LATENCY_US_BEST_EFFORT,
