@@ -8,9 +8,7 @@
 //! supervision policy, and `--fabric-dir` (plus `--workers N`) runs the
 //! campaign on the crash-safe multi-process lease fabric.
 
-use zcomp::experiments::fault_campaign::{
-    run_config_supervised, CampaignConfig, FaultCampaignResult,
-};
+use zcomp::experiments::fault_campaign::{run_sweep, CampaignConfig, FaultCampaignResult};
 use zcomp::report::pct;
 use zcomp_bench::{print_machine, print_table, report_supervision, Args, Flags};
 
@@ -44,8 +42,8 @@ fn main() {
     // whole configuration.
     let (strong_out, weak_out) = args.run(|opts| {
         Ok((
-            run_config_supervised(&cfg, opts)?,
-            run_config_supervised(&cfg.clone().weak_policy(), opts)?,
+            run_sweep(&cfg, opts)?,
+            run_sweep(&cfg.clone().weak_policy(), opts)?,
         ))
     });
     let (strong, weak) = (strong_out.result, weak_out.result);

@@ -38,10 +38,10 @@
 
 use std::process::exit;
 
-use zcomp::experiments::serve::{run, run_sweep, ServeGridSpec};
+use zcomp::experiments::serve::{run_sweep, ServeGridSpec};
 use zcomp::experiments::serve_chaos::{self, ChaosGridSpec};
 use zcomp::serve::determinism::require_byte_identical;
-use zcomp_bench::{print_machine, print_table, report_supervision, Args, Flags};
+use zcomp_bench::{print_machine, print_table, report_supervision, run_serial, Args, Flags};
 
 /// One OK/FAIL line; returns 1 on failure so callers can sum.
 fn check(ok: bool, ok_msg: &str, fail_msg: &str) -> u32 {
@@ -62,8 +62,8 @@ fn smoke() -> ! {
     let mut failures = 0;
 
     let grid = ServeGridSpec::smoke_grid();
-    let first = run(&grid);
-    let second = run(&grid);
+    let first = run_serial(|opts| run_sweep(&grid, opts));
+    let second = run_serial(|opts| run_sweep(&grid, opts));
     print_table(&first.table());
     match require_byte_identical(&first.rows, &second.rows) {
         Ok(()) => println!("OK   serve re-execution is byte-identical"),
@@ -88,8 +88,8 @@ fn smoke() -> ! {
     }
 
     let chaos_grid = ChaosGridSpec::smoke_grid();
-    let chaos_first = serve_chaos::run(&chaos_grid);
-    let chaos_second = serve_chaos::run(&chaos_grid);
+    let chaos_first = run_serial(|opts| serve_chaos::run_sweep(&chaos_grid, opts));
+    let chaos_second = run_serial(|opts| serve_chaos::run_sweep(&chaos_grid, opts));
     print_table(&chaos_first.table());
     match require_byte_identical(&chaos_first, &chaos_second) {
         Ok(()) => println!("OK   chaos re-execution is byte-identical (crashes + codec faults)"),
@@ -155,15 +155,7 @@ fn chaos_main(args: &Args, threads: usize) -> ! {
 
 fn main() {
     // This binary's own flags, parsed around the shared command line.
-    let (mut gate, mut chaos) = (false, false);
-    let args = Args::from_env_with(Flags::Threaded, |arg| {
-        match arg {
-            "--smoke" => gate = true,
-            "--chaos" => chaos = true,
-            _ => return false,
-        }
-        true
-    });
+    let (args, [gate, chaos]) = Args::from_env_with(Flags::Threaded, ["--smoke", "--chaos"]);
     if gate {
         smoke();
     }

@@ -15,6 +15,9 @@
 //! non-decreasing timestamps, numeric counters) and exits non-zero if
 //! the check fails, so CI can run it as a smoke test.
 
+use zcomp::experiments::{fig12, fullnet};
+use zcomp_bench::run_serial;
+use zcomp_dnn::deepbench::all_configs;
 use zcomp_trace::{chrome, csv, log_info, tracer};
 
 struct Args {
@@ -75,7 +78,8 @@ fn main() {
     tracer::session_start();
     match args.experiment.as_str() {
         "fig12" => {
-            let result = zcomp::experiments::fig12::run(args.scale, 0.53);
+            let result =
+                run_serial(|opts| fig12::run_sweep(&all_configs(), args.scale, 0.53, opts));
             let s = result.summary();
             log_info!(
                 "fig12 traced: {} rows, zcomp speedup {:.2}x",
@@ -84,7 +88,7 @@ fn main() {
             );
         }
         "fullnet" => {
-            let result = zcomp::experiments::fullnet::run(args.scale);
+            let result = run_serial(|opts| fullnet::run_sweep(args.scale, opts));
             log_info!("fullnet traced: {} rows", result.rows.len());
         }
         // parse_args validates the experiment name up front.

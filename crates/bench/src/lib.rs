@@ -26,7 +26,7 @@
 use zcomp::fabric::FabricOpts;
 use zcomp::report::Table;
 use zcomp::supervise::SuperviseOpts;
-use zcomp::sweep::{CacheMode, SupervisionReport, SweepError, SweepOpts};
+use zcomp::sweep::{CacheMode, SupervisionReport, SweepError, SweepOpts, SweepOutcome};
 use zcomp_sim::config::SimConfig;
 
 /// A malformed command line: which argument, and what was wrong with it.
@@ -102,7 +102,8 @@ pub enum Flags {
 }
 
 impl Flags {
-    fn usage(self) -> String {
+    /// The flags a binary at this level honours, followed by its `own`.
+    fn usage(self, own: &[&str]) -> String {
         let mut usage = "--quick/--scale/--json/--quiet".to_string();
         for (level, flags) in [
             (Flags::Supervised, RUN_FLAGS),
@@ -113,6 +114,10 @@ impl Flags {
                 usage.push_str(", ");
                 usage.push_str(flags);
             }
+        }
+        if !own.is_empty() {
+            usage.push_str(", ");
+            usage.push_str(&own.join("/"));
         }
         usage
     }
@@ -173,16 +178,18 @@ impl Args {
 
     /// Parses `std::env::args`-style arguments (without argv[0]).
     pub fn parse<I: IntoIterator<Item = String>>(args: I, flags: Flags) -> Result<Args, CliError> {
-        Args::parse_with(args, flags, |_| false)
+        Args::parse_with(args, flags, []).map(|(args, [])| args)
     }
 
-    /// Like [`Args::parse`], but first offers each argument to `extra`,
-    /// which consumes a binary's own boolean flags and returns whether it
-    /// did.
-    pub fn parse_with<I, E>(args: I, flags: Flags, mut extra: E) -> Result<Args, CliError>
+    /// Like [`Args::parse`], plus a binary's `own` boolean flags: returns
+    /// whether each was given, and names them in usage errors.
+    pub fn parse_with<I, const N: usize>(
+        args: I,
+        flags: Flags,
+        own: [&str; N],
+    ) -> Result<(Args, [bool; N]), CliError>
     where
         I: IntoIterator<Item = String>,
-        E: FnMut(&str) -> bool,
     {
         let (run, threaded, cached) = (
             flags >= Flags::Supervised,
@@ -190,9 +197,11 @@ impl Args {
             flags >= Flags::Cached,
         );
         let mut out = Args::new(flags);
+        let mut given = [false; N];
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
-            if extra(&arg) {
+            if let Some(i) = own.iter().position(|flag| *flag == arg) {
+                given[i] = true;
                 continue;
             }
             let it = &mut it;
@@ -216,7 +225,7 @@ impl Args {
                 _ => {
                     return Err(CliError::new(format!(
                         "unknown argument: {arg} (expected {})",
-                        flags.usage()
+                        flags.usage(&own)
                     )))
                 }
             }
@@ -227,30 +236,29 @@ impl Args {
         if out.refresh && out.traces.is_none() {
             return Err(CliError::new("--refresh needs --traces"));
         }
-        Ok(out)
+        Ok((out, given))
     }
 
     /// Parses the process arguments (skipping argv[0]) and applies the
     /// logging choice (`--quiet` overrides `ZCOMP_LOG`); a malformed
     /// command line prints the error and exits with code 2.
     pub fn from_env(flags: Flags) -> Args {
-        Args::from_env_with(flags, |_| false)
+        let (args, []) = Args::from_env_with(flags, []);
+        args
     }
 
     /// [`Args::from_env`] with a binary's own flags (see
     /// [`Args::parse_with`]).
-    pub fn from_env_with<E>(flags: Flags, extra: E) -> Args
-    where
-        E: FnMut(&str) -> bool,
-    {
-        let args = Args::parse_with(std::env::args().skip(1), flags, extra).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2)
-        });
+    pub fn from_env_with<const N: usize>(flags: Flags, own: [&str; N]) -> (Args, [bool; N]) {
+        let (args, given) =
+            Args::parse_with(std::env::args().skip(1), flags, own).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2)
+            });
         if args.quiet {
             zcomp_trace::log::set_level(zcomp_trace::log::Level::Off);
         }
-        args
+        (args, given)
     }
 
     /// Writes a serializable result to the `--json` path, if given.
@@ -319,6 +327,19 @@ impl Args {
         reap_fabric_workers(siblings);
         out.unwrap_or_else(|e| sweep_error_exit(&e))
     }
+}
+
+/// Runs `sweep` serially and uncached, as the smoke gate and the tracer
+/// do, and returns its result. A quarantined cell prints the supervision
+/// report and exits 3.
+pub fn run_serial<R>(sweep: impl FnOnce(&SweepOpts) -> Result<SweepOutcome<R>, SweepError>) -> R {
+    // An uncached serial sweep has no journal and no fabric, the only
+    // sources of a `SweepError`.
+    let out = sweep(&SweepOpts::serial()).expect("an uncached serial sweep cannot fail");
+    if !out.supervision.quarantined.is_empty() {
+        std::process::exit(report_supervision(&out.supervision));
+    }
+    out.result
 }
 
 /// Prints the supervision summary (which includes the fabric summary
@@ -590,19 +611,29 @@ mod tests {
 
     #[test]
     fn a_binarys_own_flags_parse_around_the_shared_ones() {
-        let mut chaos = false;
-        let a = Args::parse_with(
+        let own = ["--smoke", "--chaos"];
+        let (a, given) = Args::parse_with(
             ["--threads", "2", "--chaos", "--quick"].map(String::from),
             Flags::Threaded,
-            |arg| {
-                chaos |= arg == "--chaos";
-                arg == "--chaos"
-            },
+            own,
         )
         .unwrap();
-        assert!(chaos);
+        assert_eq!(given, [false, true]);
         assert_eq!((a.threads, a.scale), (2, 64));
         let e = parse(&["--chaos"], Flags::Threaded).unwrap_err();
         assert!(e.to_string().contains("unknown argument"), "{e}");
+        // A usage error lists the binary's own flags with the shared ones.
+        let e = Args::parse_with(
+            ["--bench", "x.json"].map(String::from),
+            Flags::Threaded,
+            own,
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(e.contains("unknown argument: --bench"), "{e}");
+        assert!(
+            e.contains("--threads") && e.contains("--smoke") && e.contains("--chaos"),
+            "{e}"
+        );
     }
 }

@@ -200,8 +200,7 @@ pub struct FaultCampaignResult {
     /// One cell per (site, rate), sites outer, rates inner.
     pub cells: Vec<CampaignCell>,
     /// Cells the supervised campaign quarantined, in index order; their
-    /// slots hold zeroed placeholder cells. Always empty for
-    /// [`run_config`], which propagates panics instead.
+    /// slots hold zeroed placeholder cells.
     pub quarantined: Vec<CellFailure>,
 }
 
@@ -294,70 +293,24 @@ impl FaultCampaignResult {
     }
 }
 
-/// Runs the default campaign at a workload scale divisor (1 = full).
-pub fn run(scale_divisor: usize) -> FaultCampaignResult {
-    run_config(&CampaignConfig::default_scaled(scale_divisor))
-}
-
-/// Runs one configured campaign.
+/// Runs one configured campaign with every (site, rate) cell routed
+/// through the supervised sweep runtime ([`run_cells`]): a panicking or
+/// hung cell is retried per `opts.supervise` and, if it keeps failing,
+/// quarantined into the result's `quarantined` list with a zeroed
+/// placeholder cell — the rest of the campaign completes. With a cache
+/// root the cells are journalled for `opts.resume`, and with
+/// `opts.fabric` the campaign joins a multi-process lease fabric like the
+/// figure sweeps.
+///
+/// The clean control run stays *unsupervised*: if the baseline itself
+/// cannot run there is nothing meaningful to salvage, so that panic
+/// still propagates.
 ///
 /// # Panics
 ///
 /// Panics if the configuration has no trials or a non-vector-multiple
 /// element count.
-pub fn run_config(cfg: &CampaignConfig) -> FaultCampaignResult {
-    let _span = zcomp_trace::tracer::span("experiment", "fault_campaign");
-    assert!(cfg.trials > 0, "campaign needs at least one trial");
-    assert_eq!(cfg.elements % 16, 0, "elements must be whole vectors");
-    zcomp_trace::log_info!(
-        "fault campaign: {} sites x {} rates x {} trials over {} elements",
-        cfg.sites.len(),
-        cfg.rates.len(),
-        cfg.trials,
-        cfg.elements
-    );
-    let data = layer_data(cfg);
-    let opts = cfg.degrade_opts();
-
-    // Clean control: no probes attached at all.
-    let clean = {
-        let mut machine = machine();
-        run_trial(&mut machine, &data, &opts)
-    };
-
-    let mut cells = Vec::with_capacity(cfg.sites.len() * cfg.rates.len());
-    for &site in &cfg.sites {
-        for &rate in &cfg.rates {
-            let cell = run_cell(cfg, site, rate, &data, &opts, &clean);
-            zcomp_trace::log_debug!(
-                "campaign cell {site:?} @ {rate:e}: {} hits, {} detected",
-                cell.stream_hits,
-                cell.detections
-            );
-            cells.push(cell);
-        }
-    }
-    FaultCampaignResult {
-        config: cfg.clone(),
-        clean_load_cycles: clean.load_cycles,
-        clean_store_cycles: clean.store_cycles,
-        cells,
-        quarantined: Vec::new(),
-    }
-}
-
-/// [`run_config`] with every (site, rate) cell routed through the
-/// supervised sweep runtime ([`run_cells`]): a panicking or hung cell is
-/// retried per `opts.supervise` and, if it keeps failing, quarantined
-/// into the result's `quarantined` list with a zeroed placeholder cell —
-/// the rest of the campaign completes. With a cache root the cells are
-/// journalled for `opts.resume`, and with `opts.fabric` the campaign
-/// joins a multi-process lease fabric like the figure sweeps.
-///
-/// The clean control run stays *unsupervised*: if the baseline itself
-/// cannot run there is nothing meaningful to salvage, so that panic
-/// still propagates.
-pub fn run_config_supervised(
+pub fn run_sweep(
     cfg: &CampaignConfig,
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<FaultCampaignResult>, SweepError> {
@@ -524,9 +477,20 @@ mod tests {
         }
     }
 
+    /// A serial, uncached campaign that must complete every cell.
+    fn serial(cfg: &CampaignConfig) -> FaultCampaignResult {
+        let out = run_sweep(cfg, &SweepOpts::serial()).expect("serial campaign");
+        assert!(
+            out.result.quarantined.is_empty(),
+            "{:?}",
+            out.result.quarantined
+        );
+        out.result
+    }
+
     #[test]
     fn zero_rate_cells_match_clean_control() {
-        let r = run_config(&quick_config());
+        let r = serial(&quick_config());
         for c in r.cells.iter().filter(|c| c.rate == 0.0) {
             assert_eq!(c.injected, 0, "{}", c.site);
             assert_eq!(c.stream_hits, 0);
@@ -542,7 +506,7 @@ mod tests {
 
     #[test]
     fn strong_policy_never_corrupts_silently() {
-        let r = run_config(&quick_config());
+        let r = serial(&quick_config());
         let s = r.summary();
         assert!(s.stream_hits > 0, "campaign must land hits: {s:?}");
         assert_eq!(s.silent_runs, 0);
@@ -552,7 +516,7 @@ mod tests {
 
     #[test]
     fn faulted_cells_charge_overhead() {
-        let r = run_config(&quick_config());
+        let r = serial(&quick_config());
         let dram: Vec<&CampaignCell> = r
             .cells
             .iter()
@@ -570,12 +534,12 @@ mod tests {
     #[test]
     fn campaign_is_deterministic() {
         let cfg = quick_config();
-        assert_eq!(run_config(&cfg), run_config(&cfg));
+        assert_eq!(serial(&cfg), serial(&cfg));
     }
 
     #[test]
     fn desync_distribution_is_populated_on_hits() {
-        let r = run_config(&quick_config());
+        let r = serial(&quick_config());
         let s = r.summary();
         assert!(s.max_desync_vectors >= 1);
         for c in r.cells.iter().filter(|c| c.stream_hits > 0) {
@@ -587,24 +551,29 @@ mod tests {
 
     #[test]
     fn table_renders_every_cell() {
-        let r = run_config(&quick_config());
+        let r = serial(&quick_config());
         let text = r.table().render();
         assert!(text.contains("dram_burst"));
         assert!(text.contains("noc_flit"));
     }
 
     #[test]
-    fn supervised_campaign_matches_unsupervised() {
+    fn sweep_matches_serial_run() {
         let cfg = quick_config();
-        let plain = run_config(&cfg);
-        let supervised = run_config_supervised(&cfg, &SweepOpts::serial()).unwrap();
-        assert_eq!(plain, supervised.result);
-        assert!(supervised.result.quarantined.is_empty());
-        assert_eq!(
-            supervised.supervision.executed,
-            cfg.sites.len() * cfg.rates.len()
-        );
-        assert_eq!(supervised.supervision.retries, 0);
+        let reference = serial(&cfg);
+        let root = std::env::temp_dir().join(format!("zcampaign-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let opts = SweepOpts::default().with_cache(&root).with_threads(3);
+        let threaded = run_sweep(&cfg, &opts).expect("threaded campaign");
+        let resumed = run_sweep(&cfg, &opts.with_resume(true)).expect("resumed campaign");
+        let _ = std::fs::remove_dir_all(&root);
+
+        assert_eq!(threaded.result, reference);
+        let cells = cfg.sites.len() * cfg.rates.len();
+        assert_eq!(threaded.supervision.executed, cells);
+        assert_eq!(threaded.supervision.retries, 0);
+        assert_eq!(resumed.supervision.resume_skips, cells);
+        assert_eq!(resumed.result, reference);
     }
 
     #[test]
@@ -619,8 +588,8 @@ mod tests {
     #[test]
     fn weak_policy_detects_less_or_equal() {
         let cfg = quick_config();
-        let strong = run_config(&cfg).summary();
-        let weak = run_config(&cfg.weak_policy()).summary();
+        let strong = serial(&cfg).summary();
+        let weak = serial(&cfg.weak_policy()).summary();
         assert!(weak.detection_rate <= strong.detection_rate + 1e-12);
     }
 }

@@ -8,12 +8,11 @@
 //! and only two small-input outliers where ZCOMP loses ≤4%.
 
 use serde::{Deserialize, Serialize};
-use zcomp_dnn::deepbench::{all_configs, DeepBenchConfig};
+use zcomp_dnn::deepbench::DeepBenchConfig;
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::nnz::nnz_synthetic;
 use zcomp_kernels::relu::{run_relu, ReluOpts, ReluRunResult, ReluScheme};
-use zcomp_replay::config_fingerprint;
-use zcomp_sim::config::SimConfig;
+use zcomp_sim::config::{config_fingerprint, SimConfig};
 use zcomp_sim::engine::Machine;
 use zcomp_sim::stats::PrefetchStats;
 
@@ -96,14 +95,8 @@ pub struct Fig12Result {
     /// Cells the supervised sweep quarantined after exhausting their
     /// attempt budget, in index order. Their row slots hold zeroed
     /// placeholder cells so the report shape — and byte layout — is
-    /// independent of *which* cells failed. Always empty for the plain
-    /// serial runners, which propagate panics instead.
+    /// independent of *which* cells failed.
     pub quarantined: Vec<CellFailure>,
-    /// Per-cell metrics (counters, gauges, latency histograms) collected
-    /// while the trace feature is compiled in. Absent from trace-free
-    /// builds so their JSON reports stay byte-identical.
-    #[cfg(feature = "trace")]
-    pub metrics: zcomp_trace::metrics::MetricsSummary,
 }
 
 /// Aggregate summary in the shape of the paper's §5.2 text.
@@ -218,60 +211,19 @@ pub enum Panel {
     Runtime,
 }
 
-/// Runs the Figure 12 experiment.
-///
-/// * `scale_divisor` — divide tensor sizes for quick runs (1 = full).
-/// * `sparsity` — input sparsity (the paper's snapshots average 53%).
-pub fn run(scale_divisor: usize, sparsity: f64) -> Fig12Result {
-    run_configs(&all_configs(), scale_divisor, sparsity)
-}
-
-/// Runs a subset of configurations (used by the ablations and tests).
+/// Runs `configs` serially and uncached: one [`run_sweep`] call with
+/// [`SweepOpts::serial`]. A cell that panics is quarantined in the
+/// result, as in any sweep.
 pub fn run_configs(
     configs: &[DeepBenchConfig],
     scale_divisor: usize,
     sparsity: f64,
 ) -> Fig12Result {
-    let _span = zcomp_trace::tracer::span("experiment", "fig12");
-    #[cfg(feature = "trace")]
-    let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
-    let mut rows = Vec::with_capacity(configs.len());
-    let mut zcomp_prefetch = PrefetchStats::default();
-    for (i, config) in configs.iter().enumerate() {
-        let elements = cell_elements(config, scale_divisor);
-        let nnz = nnz_synthetic(elements, sparsity, 6.0, cell_seed(i));
-        let mut cells = Vec::with_capacity(SCHEMES.len());
-        for scheme in SCHEMES {
-            let _cell_span = zcomp_trace::tracer::span_owned("experiment", || {
-                format!("fig12/{}/{scheme:?}", config.name)
-            });
-            let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
-            let result = run_relu(&mut machine, scheme, &nnz, &ReluOpts::default());
-            if scheme == ReluScheme::Zcomp {
-                zcomp_prefetch.merge(&machine.summary().l2_prefetch);
-            }
-            #[cfg(feature = "trace")]
-            {
-                registry.incr("fig12.cells", 1);
-                registry.observe("fig12.cycles", result.total_cycles());
-                registry.observe("fig12.dram_bytes", result.traffic.dram_bytes as f64);
-                registry.gauge("fig12.compression_ratio", result.compression_ratio());
-            }
-            cells.push(Fig12Cell::measured(scheme, &result));
-        }
-        rows.push(Fig12Row {
-            config: config.clone(),
-            simulated_elements: elements,
-            cells,
-        });
-    }
-    Fig12Result {
-        rows,
-        zcomp_prefetch,
-        quarantined: Vec::new(),
-        #[cfg(feature = "trace")]
-        metrics: registry.summary(),
-    }
+    // An uncached serial sweep has no journal and no fabric, the only
+    // sources of a `SweepError`.
+    run_sweep(configs, scale_divisor, sparsity, &SweepOpts::serial())
+        .expect("an uncached serial sweep cannot fail")
+        .result
 }
 
 impl Fig12Cell {
@@ -346,7 +298,8 @@ fn simulate_cell(
     run_relu(machine, scheme, &nnz, &ReluOpts::default())
 }
 
-/// Simulates one (config, scheme) cell on a fresh machine.
+/// Simulates one (config, scheme) cell on a fresh machine, under the
+/// `fig12/<shape>/<scheme>` tracer span.
 fn sweep_cell(
     config: &DeepBenchConfig,
     index: usize,
@@ -354,6 +307,9 @@ fn sweep_cell(
     scale_divisor: usize,
     sparsity: f64,
 ) -> Fig12CellRecord {
+    let _span = zcomp_trace::tracer::span_owned("experiment", || {
+        format!("fig12/{}/{scheme:?}", config.name)
+    });
     let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
     let result = simulate_cell(&mut machine, config, index, scheme, scale_divisor, sparsity);
     Fig12CellRecord {
@@ -363,7 +319,10 @@ fn sweep_cell(
 }
 
 /// Runs the Figure 12 sweep sharded across threads with journalled,
-/// *supervised* cells; equivalent to [`run_configs`] cell for cell.
+/// *supervised* cells.
+///
+/// * `scale_divisor` — divide tensor sizes for quick runs (1 = full).
+/// * `sparsity` — input sparsity (the paper's snapshots average 53%).
 ///
 /// With a cache root in [`CacheMode::Auto`], every cell the root's
 /// journal already holds under this model identity is restored without
@@ -408,8 +367,6 @@ pub fn run_sweep(
     };
     let run = run_cells("fig12", items, fingerprint, opts, key_of, make_job)?;
 
-    #[cfg(feature = "trace")]
-    let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
     let mut rows = Vec::with_capacity(configs.len());
     let mut zcomp_prefetch = PrefetchStats::default();
     for (ci, config) in configs.iter().enumerate() {
@@ -419,13 +376,6 @@ pub fn run_sweep(
                 CellOutcome::Completed { value, .. } => {
                     if *scheme == ReluScheme::Zcomp {
                         zcomp_prefetch.merge(&value.prefetch);
-                    }
-                    #[cfg(feature = "trace")]
-                    {
-                        registry.incr("fig12.cells", 1);
-                        registry.observe("fig12.cycles", value.cell.cycles);
-                        registry.observe("fig12.dram_bytes", value.cell.dram_bytes as f64);
-                        registry.gauge("fig12.compression_ratio", value.cell.compression_ratio);
                     }
                     value.cell.clone()
                 }
@@ -448,24 +398,10 @@ pub fn run_sweep(
             cells: row_cells,
         });
     }
-    #[cfg(feature = "trace")]
-    {
-        registry.incr("fig12.retries", run.report.retries);
-        registry.incr("fig12.resume_skips", run.report.resume_skips as u64);
-        registry.incr("fig12.quarantined", run.report.quarantined.len() as u64);
-        if let Some(fabric) = &run.report.fabric {
-            registry.incr("fabric.claims", fabric.claims);
-            registry.incr("fabric.reclaims", fabric.reclaims);
-            registry.incr("fabric.fenced_rejections", fabric.fenced_rejections);
-            registry.incr("fabric.drains", fabric.drains);
-        }
-    }
     let result = Fig12Result {
         rows,
         zcomp_prefetch,
         quarantined: run.report.quarantined.clone(),
-        #[cfg(feature = "trace")]
-        metrics: registry.summary(),
     };
     Ok(SweepOutcome {
         result,
@@ -477,11 +413,28 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use crate::sweep::run_sharded;
-    use zcomp_dnn::deepbench::{suite_configs, Suite};
+    use zcomp_dnn::deepbench::{all_configs, suite_configs, Suite};
+
+    /// A serial, uncached sweep that must complete every cell.
+    fn serial(configs: &[DeepBenchConfig]) -> Fig12Result {
+        let out = run_sweep(configs, 4096, 0.53, &SweepOpts::serial()).expect("serial sweep");
+        assert!(
+            out.result.quarantined.is_empty(),
+            "{:?}",
+            out.result.quarantined
+        );
+        out.result
+    }
 
     fn quick() -> Fig12Result {
         // Heavy scale-down: structure checks only.
-        run_configs(&suite_configs(Suite::ConvTrain)[..4], 4096, 0.53)
+        serial(&suite_configs(Suite::ConvTrain)[..4])
+    }
+
+    #[test]
+    fn run_configs_is_the_serial_sweep() {
+        let configs = &suite_configs(Suite::ConvTrain)[..1];
+        assert_eq!(run_configs(configs, 4096, 0.53), serial(configs));
     }
 
     #[test]
@@ -531,37 +484,30 @@ mod tests {
         root
     }
 
-    /// The trace-free report bytes: trace builds embed run-shape metrics
-    /// (cells executed vs restored), so byte checks use the default build.
-    #[cfg(not(feature = "trace"))]
     fn json(result: &Fig12Result) -> String {
         serde_json::to_string(result).unwrap()
     }
 
+    /// A threaded, cached sweep — cold, then warm from its journal —
+    /// writes the bytes of a serial, uncached one.
     #[test]
     fn sweep_matches_serial_run() {
         let configs = &suite_configs(Suite::ConvTrain)[..2];
-        let reference = run_configs(configs, 4096, 0.53);
+        let reference = serial(configs);
         let root = temp_root("sweep");
         let opts = SweepOpts::default().with_cache(&root).with_threads(4);
         let cold = run_sweep(configs, 4096, 0.53, &opts).expect("cold sweep");
         let warm = run_sweep(configs, 4096, 0.53, &opts).expect("warm sweep");
         let _ = std::fs::remove_dir_all(&root);
 
-        assert_eq!(
-            reference.rows, cold.result.rows,
-            "sweep must match run_configs"
-        );
-        assert_eq!(reference.zcomp_prefetch, cold.result.zcomp_prefetch);
-        assert!(cold.result.quarantined.is_empty());
+        assert_eq!(json(&cold.result), json(&reference), "cold sweep");
         assert_eq!(cold.supervision.executed, configs.len() * SCHEMES.len());
         assert_eq!(cold.supervision.retries, 0);
         assert_eq!(
             warm.supervision.executed, 0,
             "a warm rerun executes nothing"
         );
-        assert_eq!(warm.result.rows, cold.result.rows);
-        assert_eq!(warm.result.zcomp_prefetch, cold.result.zcomp_prefetch);
+        assert_eq!(json(&warm.result), json(&reference), "warm sweep");
     }
 
     /// The benchmark's shape: one call per configuration, every call on
@@ -592,11 +538,6 @@ mod tests {
         assert_eq!(configs.len() * SCHEMES.len(), 132);
         assert_eq!((cold_executed, cold_restored), (132, 0));
         assert_eq!((warm_executed, warm_restored), (0, 132));
-        for (warm, cold) in warm.iter().zip(&cold) {
-            assert_eq!(warm.rows, cold.rows);
-            assert_eq!(warm.zcomp_prefetch, cold.zcomp_prefetch);
-        }
-        #[cfg(not(feature = "trace"))]
         assert_eq!(
             warm.iter().map(json).collect::<Vec<_>>(),
             cold.iter().map(json).collect::<Vec<_>>(),
@@ -667,7 +608,7 @@ mod tests {
     fn interrupted_sweep_continues_exactly() {
         let configs = &suite_configs(Suite::ConvTrain)[..2];
         let root = temp_root("resume");
-        let full = run_sweep(configs, 4096, 0.53, &SweepOpts::serial()).expect("reference");
+        let full = serial(configs);
 
         // An "interrupted" run journalled only the first configuration.
         let opts = SweepOpts::serial().with_cache(&root);
@@ -677,10 +618,7 @@ mod tests {
 
         assert_eq!(continued.supervision.resume_skips, SCHEMES.len());
         assert_eq!(continued.supervision.executed, SCHEMES.len());
-        assert_eq!(continued.result.rows, full.result.rows);
-        assert_eq!(continued.result.zcomp_prefetch, full.result.zcomp_prefetch);
-        #[cfg(not(feature = "trace"))]
-        assert_eq!(json(&continued.result), json(&full.result));
+        assert_eq!(json(&continued.result), json(&full));
     }
 
     /// The byte counts a cell's trace carries in its trailer note: what

@@ -12,8 +12,7 @@ use zcomp_dnn::sparsity::SparsityModel;
 use zcomp_isa::uops::UopTable;
 use zcomp_kernels::layer_exec::Scheme;
 use zcomp_kernels::network_exec::{run_network, NetworkExecOpts};
-use zcomp_replay::config_fingerprint;
-use zcomp_sim::config::SimConfig;
+use zcomp_sim::config::{config_fingerprint, SimConfig};
 use zcomp_sim::engine::{Machine, RunSummary};
 
 use crate::report::{mean, pct, Table};
@@ -92,14 +91,8 @@ pub struct FullNetResult {
     /// All (network, mode) rows.
     pub rows: Vec<FullNetRow>,
     /// Cells the supervised sweep quarantined, in index order; their row
-    /// slots hold zeroed placeholder cells. Always empty for the plain
-    /// serial runner.
+    /// slots hold zeroed placeholder cells.
     pub quarantined: Vec<CellFailure>,
-    /// Per-run metrics (counters, gauges, latency histograms) collected
-    /// while the trace feature is compiled in. Absent from trace-free
-    /// builds so their JSON reports stay byte-identical.
-    #[cfg(feature = "trace")]
-    pub metrics: zcomp_trace::metrics::MetricsSummary,
 }
 
 /// Aggregate summary in the shape of the paper's §5.3 text.
@@ -191,76 +184,6 @@ impl FullNetResult {
     }
 }
 
-/// Runs the full-network experiments.
-///
-/// `batch_divisor` scales training batches down for quick runs (1 = the
-/// paper's sizes). Inference always uses batch 4, the paper's choice.
-pub fn run(batch_divisor: usize) -> FullNetResult {
-    let _span = zcomp_trace::tracer::span("experiment", "fullnet");
-    #[cfg(feature = "trace")]
-    let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
-    let mut rows = Vec::new();
-    for model in ModelId::ALL {
-        for mode in [Mode::Training, Mode::Inference] {
-            let batch = match mode {
-                Mode::Training => (model.training_batch() / batch_divisor.max(1)).max(1),
-                Mode::Inference => model.inference_batch(),
-            };
-            let net = model.build(batch);
-            let profile = SparsityModel::default().profile(&net, 50);
-            let mut cells = Vec::new();
-            for scheme in [Scheme::None, Scheme::Avx512Comp, Scheme::Zcomp] {
-                let _run_span = zcomp_trace::tracer::span_owned("experiment", || {
-                    format!("fullnet/{model}/{mode}/{scheme:?}")
-                });
-                let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
-                let result = run_network(
-                    &mut machine,
-                    &net,
-                    &profile,
-                    &NetworkExecOpts {
-                        scheme,
-                        training: mode == Mode::Training,
-                        ..NetworkExecOpts::default()
-                    },
-                );
-                #[cfg(feature = "trace")]
-                {
-                    registry.incr("fullnet.runs", 1);
-                    registry.observe("fullnet.wall_cycles", result.summary.wall_cycles);
-                    registry.observe(
-                        "fullnet.dram_bytes",
-                        result.summary.traffic.dram_bytes as f64,
-                    );
-                    registry.gauge(
-                        "fullnet.memory_fraction",
-                        result.summary.breakdown.memory_fraction(),
-                    );
-                }
-                cells.push(FullNetCell {
-                    scheme,
-                    onchip_bytes: result.summary.traffic.onchip_bytes(),
-                    dram_bytes: result.summary.traffic.dram_bytes,
-                    cycles: result.summary.wall_cycles,
-                    memory_fraction: result.summary.breakdown.memory_fraction(),
-                });
-            }
-            rows.push(FullNetRow {
-                model,
-                mode,
-                batch,
-                cells,
-            });
-        }
-    }
-    FullNetResult {
-        rows,
-        quarantined: Vec::new(),
-        #[cfg(feature = "trace")]
-        metrics: registry.summary(),
-    }
-}
-
 /// The three schemes in plotting order.
 const SCHEMES: [Scheme; 3] = [Scheme::None, Scheme::Avx512Comp, Scheme::Zcomp];
 
@@ -298,8 +221,12 @@ fn simulate_cell(
     .summary
 }
 
-/// Simulates one (model, mode, scheme) cell on a fresh machine.
+/// Simulates one (model, mode, scheme) cell on a fresh machine, under the
+/// `fullnet/<model>/<mode>/<scheme>` tracer span.
 fn sweep_cell(model: ModelId, mode: Mode, scheme: Scheme, batch: usize) -> FullNetCell {
+    let _span = zcomp_trace::tracer::span_owned("experiment", || {
+        format!("fullnet/{model}/{mode}/{scheme:?}")
+    });
     let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
     cell_from_summary(
         scheme,
@@ -313,7 +240,10 @@ fn cell_key(model: ModelId, mode: Mode, scheme: Scheme, batch: usize) -> String 
 }
 
 /// Runs the full-network sweep sharded across threads with journalled,
-/// *supervised* cells; equivalent to [`run`] row for row.
+/// *supervised* cells.
+///
+/// `batch_divisor` scales training batches down for quick runs (1 = the
+/// paper's sizes). Inference always uses batch 4, the paper's choice.
 ///
 /// All 30 (network, mode, scheme) cells are independent. With a cache
 /// root in [`CacheMode::Auto`], cells the root's journal already holds
@@ -355,8 +285,6 @@ pub fn run_sweep(
     };
     let run = run_cells("fullnet", items, fingerprint, opts, key_of, make_job)?;
 
-    #[cfg(feature = "trace")]
-    let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
     let mut rows = Vec::with_capacity(ModelId::ALL.len() * modes.len());
     let mut it = run.outcomes.iter().enumerate();
     for model in ModelId::ALL {
@@ -365,16 +293,7 @@ pub fn run_sweep(
                 .by_ref()
                 .take(SCHEMES.len())
                 .map(|(idx, outcome)| match outcome {
-                    CellOutcome::Completed { value, .. } => {
-                        #[cfg(feature = "trace")]
-                        {
-                            registry.incr("fullnet.runs", 1);
-                            registry.observe("fullnet.wall_cycles", value.cycles);
-                            registry.observe("fullnet.dram_bytes", value.dram_bytes as f64);
-                            registry.gauge("fullnet.memory_fraction", value.memory_fraction);
-                        }
-                        *value
-                    }
+                    CellOutcome::Completed { value, .. } => *value,
                     CellOutcome::Quarantined(_) => FullNetCell {
                         scheme: SCHEMES[idx % SCHEMES.len()],
                         onchip_bytes: 0,
@@ -392,23 +311,9 @@ pub fn run_sweep(
             });
         }
     }
-    #[cfg(feature = "trace")]
-    {
-        registry.incr("fullnet.retries", run.report.retries);
-        registry.incr("fullnet.resume_skips", run.report.resume_skips as u64);
-        registry.incr("fullnet.quarantined", run.report.quarantined.len() as u64);
-        if let Some(fabric) = &run.report.fabric {
-            registry.incr("fabric.claims", fabric.claims);
-            registry.incr("fabric.reclaims", fabric.reclaims);
-            registry.incr("fabric.fenced_rejections", fabric.fenced_rejections);
-            registry.incr("fabric.drains", fabric.drains);
-        }
-    }
     let result = FullNetResult {
         rows,
         quarantined: run.report.quarantined.clone(),
-        #[cfg(feature = "trace")]
-        metrics: registry.summary(),
     };
     Ok(SweepOutcome {
         result,
@@ -421,10 +326,19 @@ mod tests {
     use super::*;
     use std::sync::OnceLock;
 
-    /// The scaled-down run is expensive; share it across tests.
+    /// The scaled-down serial, uncached sweep is expensive; share it
+    /// across tests.
     fn quick() -> &'static FullNetResult {
         static RESULT: OnceLock<FullNetResult> = OnceLock::new();
-        RESULT.get_or_init(|| run(16))
+        RESULT.get_or_init(|| {
+            let out = run_sweep(16, &SweepOpts::serial()).expect("serial sweep");
+            assert!(
+                out.result.quarantined.is_empty(),
+                "{:?}",
+                out.result.quarantined
+            );
+            out.result
+        })
     }
 
     #[test]
@@ -482,17 +396,15 @@ mod tests {
         let warm = run_sweep(16, &opts).expect("warm sweep");
         let _ = std::fs::remove_dir_all(&root);
 
-        assert_eq!(reference.rows, cold.result.rows, "sweep must match run()");
-        assert!(cold.result.quarantined.is_empty());
+        let json = |r: &FullNetResult| serde_json::to_string(r).unwrap();
+        assert_eq!(json(&cold.result), json(reference), "cold sweep");
         assert_eq!(cold.supervision.cells, 30);
         assert_eq!(cold.supervision.executed, 30);
         assert_eq!(warm.supervision.executed, 0);
         assert_eq!(warm.supervision.resume_skips, 30);
-        assert_eq!(warm.result.rows, cold.result.rows);
-        #[cfg(not(feature = "trace"))]
         assert_eq!(
-            serde_json::to_string(&warm.result).unwrap(),
-            serde_json::to_string(&cold.result).unwrap(),
+            json(&warm.result),
+            json(reference),
             "restored JSON must be byte-identical to the computed JSON"
         );
     }

@@ -17,8 +17,7 @@
 use serde::{Deserialize, Serialize};
 use zcomp_dnn::models::ModelId;
 use zcomp_kernels::layer_exec::Scheme;
-use zcomp_replay::config_fingerprint;
-use zcomp_sim::config::SimConfig;
+use zcomp_sim::config::{config_fingerprint, SimConfig};
 
 use crate::report::Table;
 use crate::serve::knee::{derive_slo, find_knee, KneeOpts, KneeOutcome, ServeCurve};
@@ -135,12 +134,8 @@ pub struct ServeResult {
     /// One row per grid network.
     pub rows: Vec<ServeRow>,
     /// Cells the supervised sweep quarantined; their curve slots hold
-    /// empty placeholders. Always empty for the serial runner.
+    /// empty placeholders.
     pub quarantined: Vec<CellFailure>,
-    /// Run metrics, embedded only when the trace feature is compiled in
-    /// so trace-free reports stay byte-identical.
-    #[cfg(feature = "trace")]
-    pub metrics: zcomp_trace::metrics::MetricsSummary,
 }
 
 impl ServeResult {
@@ -237,7 +232,6 @@ fn assemble(
     grid: &ServeGridSpec,
     outcomes: Vec<CellOutcome<ServeCurve>>,
     quarantined: Vec<CellFailure>,
-    #[cfg(feature = "trace")] registry: &mut zcomp_trace::metrics::MetricsRegistry,
 ) -> ServeResult {
     let mut it = outcomes.into_iter();
     let mut rows = Vec::with_capacity(grid.networks.len());
@@ -245,14 +239,7 @@ fn assemble(
         let mut curves = Vec::with_capacity(SCHEMES.len());
         for scheme in SCHEMES {
             let curve = match it.next().expect("one outcome per cell") {
-                CellOutcome::Completed { value, .. } => {
-                    #[cfg(feature = "trace")]
-                    {
-                        registry.incr("serve.cells", 1);
-                        registry.observe("serve.knee_qps", value.knee_qps);
-                    }
-                    value
-                }
+                CellOutcome::Completed { value, .. } => value,
                 CellOutcome::Quarantined(_) => empty_curve(model, scheme),
             };
             curves.push(curve);
@@ -266,42 +253,12 @@ fn assemble(
             compressed,
         });
     }
-    ServeResult {
-        rows,
-        quarantined,
-        #[cfg(feature = "trace")]
-        metrics: registry.summary(),
-    }
-}
-
-/// Runs the grid serially in-process (no supervision, no cache).
-pub fn run(grid: &ServeGridSpec) -> ServeResult {
-    let _span = zcomp_trace::tracer::span("experiment", "serve");
-    let outcomes = grid
-        .networks
-        .iter()
-        .flat_map(|&(model, max_batch)| {
-            SCHEMES.map(|scheme| CellOutcome::Completed {
-                value: run_cell(model, max_batch, &grid.params, scheme),
-                attempts: 1,
-            })
-        })
-        .collect();
-    #[cfg(feature = "trace")]
-    let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
-    assemble(
-        grid,
-        outcomes,
-        Vec::new(),
-        #[cfg(feature = "trace")]
-        &mut registry,
-    )
+    ServeResult { rows, quarantined }
 }
 
 /// Runs the grid as a supervised sweep via [`run_cells`]: cells (one per
 /// network × scheme) run sharded across threads or fabric workers with
-/// panic quarantine, retries, resume and deterministic merge. Equivalent
-/// to [`run`] row for row when nothing is quarantined.
+/// panic quarantine, retries, resume and deterministic merge.
 pub fn run_sweep(
     grid: &ServeGridSpec,
     opts: &SweepOpts,
@@ -324,27 +281,7 @@ pub fn run_sweep(
     };
     let run = run_cells("serve", items, fingerprint, opts, key_of, make_job)?;
 
-    #[cfg(feature = "trace")]
-    let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
-    #[cfg(feature = "trace")]
-    {
-        registry.incr("serve.retries", run.report.retries);
-        registry.incr("serve.resume_skips", run.report.resume_skips as u64);
-        registry.incr("serve.quarantined", run.report.quarantined.len() as u64);
-        if let Some(fabric) = &run.report.fabric {
-            registry.incr("fabric.claims", fabric.claims);
-            registry.incr("fabric.reclaims", fabric.reclaims);
-            registry.incr("fabric.fenced_rejections", fabric.fenced_rejections);
-            registry.incr("fabric.drains", fabric.drains);
-        }
-    }
-    let result = assemble(
-        grid,
-        run.outcomes,
-        run.report.quarantined.clone(),
-        #[cfg(feature = "trace")]
-        &mut registry,
-    );
+    let result = assemble(grid, run.outcomes, run.report.quarantined.clone());
     Ok(SweepOutcome {
         result,
         supervision: run.report,
@@ -374,9 +311,20 @@ mod tests {
         }
     }
 
+    /// A serial, uncached sweep that must complete every cell.
+    fn serial() -> ServeResult {
+        let out = run_sweep(&tiny_grid(), &SweepOpts::serial()).expect("serial sweep");
+        assert!(
+            out.result.quarantined.is_empty(),
+            "{:?}",
+            out.result.quarantined
+        );
+        out.result
+    }
+
     fn quick() -> &'static ServeResult {
         static RESULT: OnceLock<ServeResult> = OnceLock::new();
-        RESULT.get_or_init(|| run(&tiny_grid()))
+        RESULT.get_or_init(serial)
     }
 
     #[test]
@@ -414,10 +362,10 @@ mod tests {
     #[test]
     fn serial_run_is_deterministic() {
         let a = quick();
-        let b = run(&tiny_grid());
+        let b = serial();
         assert_eq!(
-            serde_json::to_string(&a.rows).unwrap(),
-            serde_json::to_string(&b.rows).unwrap()
+            serde_json::to_string(a).unwrap(),
+            serde_json::to_string(&b).unwrap()
         );
     }
 
@@ -426,10 +374,9 @@ mod tests {
         let reference = quick();
         let sweep =
             run_sweep(&tiny_grid(), &SweepOpts::default().with_threads(2)).expect("sweep succeeds");
-        assert!(sweep.result.quarantined.is_empty());
         assert_eq!(
-            serde_json::to_string(&reference.rows).unwrap(),
-            serde_json::to_string(&sweep.result.rows).unwrap()
+            serde_json::to_string(reference).unwrap(),
+            serde_json::to_string(&sweep.result).unwrap()
         );
     }
 

@@ -30,8 +30,7 @@
 use serde::{Deserialize, Serialize};
 use zcomp_dnn::models::ModelId;
 use zcomp_kernels::layer_exec::Scheme;
-use zcomp_replay::config_fingerprint;
-use zcomp_sim::config::SimConfig;
+use zcomp_sim::config::{config_fingerprint, SimConfig};
 
 use crate::report::Table;
 use crate::serve::admission::AdmissionConfig;
@@ -225,12 +224,8 @@ pub struct ChaosResult {
     /// The knee search under chaos (`None` if the cell was quarantined).
     pub knee: Option<ServeCurve>,
     /// Cells the supervised sweep quarantined (their payload slots hold
-    /// `None`). Always empty for the serial runner.
+    /// `None`).
     pub quarantined: Vec<CellFailure>,
-    /// Run metrics, embedded only when the trace feature is compiled in
-    /// so trace-free reports stay byte-identical.
-    #[cfg(feature = "trace")]
-    pub metrics: zcomp_trace::metrics::MetricsSummary,
 }
 
 impl ChaosResult {
@@ -483,22 +478,12 @@ fn assemble(
     grid: &ChaosGridSpec,
     outcomes: Vec<CellOutcome<ChaosCell>>,
     quarantined: Vec<CellFailure>,
-    #[cfg(feature = "trace")] registry: &mut zcomp_trace::metrics::MetricsRegistry,
 ) -> ChaosResult {
     let mut cells = Vec::with_capacity(grid.fault_rates.len() * MODES.len());
     let mut knee = None;
     for (idx, outcome) in outcomes.into_iter().enumerate() {
         let payload = match outcome {
-            CellOutcome::Completed { value, .. } => {
-                #[cfg(feature = "trace")]
-                {
-                    registry.incr("serve_chaos.cells", 1);
-                    if let Some(p) = &value.point {
-                        registry.observe("serve_chaos.goodput_qps", p.goodput_qps);
-                    }
-                }
-                Some(value)
-            }
+            CellOutcome::Completed { value, .. } => Some(value),
             CellOutcome::Quarantined(_) => None,
         };
         match cell_of(grid, idx) {
@@ -514,35 +499,12 @@ fn assemble(
         cells,
         knee,
         quarantined,
-        #[cfg(feature = "trace")]
-        metrics: registry.summary(),
     }
-}
-
-/// Runs the grid serially in-process (no supervision, no cache).
-pub fn run(grid: &ChaosGridSpec) -> ChaosResult {
-    let _span = zcomp_trace::tracer::span("experiment", "serve_chaos");
-    let outcomes = (0..grid.cell_count())
-        .map(|idx| CellOutcome::Completed {
-            value: run_cell(grid, idx),
-            attempts: 1,
-        })
-        .collect();
-    #[cfg(feature = "trace")]
-    let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
-    assemble(
-        grid,
-        outcomes,
-        Vec::new(),
-        #[cfg(feature = "trace")]
-        &mut registry,
-    )
 }
 
 /// Runs the grid as a supervised sweep via [`run_cells`]: panic
 /// quarantine, retries, `--resume` and the multi-process fabric all
-/// apply. Equivalent to [`run`] cell for cell when nothing is
-/// quarantined.
+/// apply.
 pub fn run_sweep(
     grid: &ChaosGridSpec,
     opts: &SweepOpts,
@@ -564,24 +526,7 @@ pub fn run_sweep(
         make_job,
     )?;
 
-    #[cfg(feature = "trace")]
-    let mut registry = zcomp_trace::metrics::MetricsRegistry::new();
-    #[cfg(feature = "trace")]
-    {
-        registry.incr("serve_chaos.retries", run.report.retries);
-        registry.incr("serve_chaos.resume_skips", run.report.resume_skips as u64);
-        registry.incr(
-            "serve_chaos.quarantined",
-            run.report.quarantined.len() as u64,
-        );
-    }
-    let result = assemble(
-        grid,
-        run.outcomes,
-        run.report.quarantined.clone(),
-        #[cfg(feature = "trace")]
-        &mut registry,
-    );
+    let result = assemble(grid, run.outcomes, run.report.quarantined.clone());
     Ok(SweepOutcome {
         result,
         supervision: run.report,
@@ -612,9 +557,20 @@ mod tests {
         }
     }
 
+    /// A serial, uncached sweep that must complete every cell.
+    fn serial() -> ChaosResult {
+        let out = run_sweep(&tiny_grid(), &SweepOpts::serial()).expect("serial sweep");
+        assert!(
+            out.result.quarantined.is_empty(),
+            "{:?}",
+            out.result.quarantined
+        );
+        out.result
+    }
+
     fn quick() -> &'static ChaosResult {
         static RESULT: OnceLock<ChaosResult> = OnceLock::new();
-        RESULT.get_or_init(|| run(&tiny_grid()))
+        RESULT.get_or_init(serial)
     }
 
     #[test]
@@ -655,17 +611,17 @@ mod tests {
             knee.points.len(),
             p.bisect_iters
         );
-        let instances = cell_config(p, Scheme::Zcomp).instances as u64;
+        let instances = cell_config(p, Scheme::Zcomp).instances as f64;
         for point in &knee.points {
             assert!(point.crashes > 0, "no crash at {} qps", point.offered_qps);
-            assert!(point.peak_instances <= instances, "{point:?}");
+            assert!(point.mean_instances <= instances, "{point:?}");
         }
     }
 
     #[test]
     fn serial_run_is_deterministic() {
         let a = quick();
-        let b = run(&tiny_grid());
+        let b = serial();
         crate::serve::determinism::require_byte_identical(a, &b)
             .expect("chaos grid must replay byte-identically");
     }
@@ -675,7 +631,6 @@ mod tests {
         let reference = quick();
         let sweep =
             run_sweep(&tiny_grid(), &SweepOpts::default().with_threads(2)).expect("sweep succeeds");
-        assert!(sweep.result.quarantined.is_empty());
         crate::serve::determinism::require_byte_identical(reference, &sweep.result)
             .expect("sweep must match the serial run");
     }

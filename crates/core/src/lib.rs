@@ -41,5 +41,4 @@ pub use zcomp_cachecomp;
 pub use zcomp_dnn;
 pub use zcomp_isa;
 pub use zcomp_kernels;
-pub use zcomp_replay;
 pub use zcomp_sim;

@@ -114,8 +114,6 @@ pub struct RatePoint {
     pub codec_fallbacks: u64,
     /// Time-averaged count of instances not down after a crash.
     pub mean_instances: f64,
-    /// Peak count of instances not down after a crash.
-    pub peak_instances: u64,
     /// Latency percentiles, microseconds (from the registry histogram).
     pub p50_us: f64,
     /// 95th percentile latency, microseconds.
@@ -343,7 +341,6 @@ fn simulate_inner(
     // Time integral of the up instance count.
     let mut capacity_integral = 0.0f64;
     let mut capacity_now = slots.len();
-    let mut peak_instances = capacity_now as u64;
     let mut last_event_t = 0u64;
 
     while let Some(Reverse((now, _, kind))) = heap.pop() {
@@ -448,7 +445,6 @@ fn simulate_inner(
             }
         }
         capacity_now = slots.iter().filter(|s| s.up).count();
-        peak_instances = peak_instances.max(capacity_now as u64);
 
         // Admit batches while instances are free; otherwise arm the
         // earliest max-wait deadline so partial batches still flush.
@@ -675,7 +671,6 @@ fn simulate_inner(
         codec_retries,
         codec_fallbacks,
         mean_instances,
-        peak_instances,
         p50_us: p50,
         p95_us: p95,
         p99_us: p99,

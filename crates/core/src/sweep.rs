@@ -149,8 +149,9 @@ impl Default for SweepOpts {
 }
 
 impl SweepOpts {
-    /// Serial, uncached execution — behaviourally identical to the plain
-    /// experiment runners.
+    /// Serial, uncached execution: every cell runs on the calling thread,
+    /// with no journal and no fabric, so the sweep cannot return a
+    /// [`SweepError`].
     pub fn serial() -> Self {
         SweepOpts {
             threads: 1,

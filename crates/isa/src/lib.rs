@@ -47,7 +47,6 @@ pub mod alignment;
 pub mod buffer;
 pub mod ccf;
 pub mod compress;
-pub mod disasm;
 pub mod dtype;
 pub mod error;
 pub mod header;

@@ -34,6 +34,7 @@ use std::io::{Read, Write};
 use zcomp_isa::error::ZcompError;
 use zcomp_isa::instr::{AccessKind, HeaderMode, Instr};
 use zcomp_isa::uops::{UopCounts, UopKind};
+pub use zcomp_sim::config_fingerprint;
 use zcomp_sim::engine::PhaseMode;
 use zcomp_sim::SimConfig;
 use zcomp_trace::hash::crc32;
@@ -132,18 +133,6 @@ impl TraceMeta {
     pub fn for_config(cfg: &SimConfig) -> Self {
         TraceMeta::new(cfg.cores as u32, config_fingerprint(cfg))
     }
-}
-
-/// Fingerprints a simulator configuration for trace/config matching.
-///
-/// The hash is a CRC32 of the config's canonical JSON serialization: cheap,
-/// stable across runs, and sensitive to every modelled parameter. Replaying
-/// a trace on a machine whose fingerprint differs is refused with
-/// [`ZcompError::TraceConfigMismatch`].
-pub fn config_fingerprint(cfg: &SimConfig) -> u32 {
-    serde_json::to_string(cfg)
-        .map(|s| crc32(s.as_bytes()))
-        .unwrap_or(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -1415,13 +1404,5 @@ mod tests {
         );
         let (_, rops, _) = decode_all(&bytes).unwrap();
         assert_eq!(rops, ops);
-    }
-
-    #[test]
-    fn config_fingerprint_distinguishes_configs() {
-        let a = config_fingerprint(&SimConfig::table1());
-        let b = config_fingerprint(&SimConfig::test_tiny());
-        assert_ne!(a, b);
-        assert_eq!(a, config_fingerprint(&SimConfig::table1()));
     }
 }

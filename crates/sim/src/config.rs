@@ -306,9 +306,29 @@ impl Default for SimConfig {
     }
 }
 
+/// Fingerprints a simulator configuration for trace/config matching and
+/// sweep journal keys.
+///
+/// The hash is a CRC32 of the config's canonical JSON serialization: cheap,
+/// stable across runs, and sensitive to every modelled parameter. Replaying
+/// a trace on a machine whose fingerprint differs is refused.
+pub fn config_fingerprint(cfg: &SimConfig) -> u32 {
+    serde_json::to_string(cfg)
+        .map(|s| zcomp_trace::hash::crc32(s.as_bytes()))
+        .unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn config_fingerprint_distinguishes_configs() {
+        let a = config_fingerprint(&SimConfig::table1());
+        let b = config_fingerprint(&SimConfig::test_tiny());
+        assert_ne!(a, b);
+        assert_eq!(a, config_fingerprint(&SimConfig::table1()));
+    }
 
     #[test]
     fn table1_matches_paper() {

@@ -54,7 +54,7 @@ pub mod prefetch;
 pub mod stats;
 
 pub use bitset::BitSet;
-pub use config::SimConfig;
+pub use config::{config_fingerprint, SimConfig};
 pub use engine::{Machine, PhaseMode, PhaseReport, RunSummary};
 pub use faults::{FaultConfig, FaultEvent, FaultProbe, FaultSite};
 pub use hierarchy::{AccessResult, MemorySystem, ServedBy};

@@ -6,8 +6,7 @@
 //!   environment variable (or [`log::set_level`]), always compiled in.
 //! * [`metrics`] — a [`metrics::MetricsRegistry`] of monotonic counters,
 //!   gauges and log-scaled histograms with p50/p95/p99 summaries, always
-//!   compiled in; experiments embed [`metrics::MetricsSummary`] snapshots
-//!   in their JSON reports when their `trace` feature is on.
+//!   compiled in.
 //! * [`tracer`] — span/instant/counter event recording behind the `trace`
 //!   cargo feature. With the feature off every entry point is an empty
 //!   `#[inline]` function and [`tracer::SpanGuard`] is zero-sized, so the

@@ -1,8 +1,8 @@
 //! Metrics registry: monotonic counters, gauges and log-scaled histograms.
 //!
-//! A [`MetricsRegistry`] is a plain value the caller owns — experiments
-//! create one per run, record into it and embed its [`MetricsSummary`]
-//! snapshot in their deterministic JSON reports. Nothing here is global or
+//! A [`MetricsRegistry`] is a plain value the caller owns — the serving
+//! engine creates one per rate point, records into it and embeds its
+//! [`MetricsSummary`] snapshot in its deterministic JSON reports. Nothing here is global or
 //! feature-gated; determinism comes from `BTreeMap`'s sorted iteration
 //! order.
 //!

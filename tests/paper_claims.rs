@@ -3,16 +3,38 @@
 
 use std::sync::OnceLock;
 
+use zcomp::experiments::fig12::Fig12Result;
 use zcomp::experiments::fullnet::FullNetResult;
 use zcomp::experiments::{ablations, fig02, fig03, fig12, fig15, fullnet};
-use zcomp_dnn::deepbench::{suite_configs, Suite};
+use zcomp::sweep::SweepOpts;
+use zcomp_dnn::deepbench::{suite_configs, DeepBenchConfig, Suite};
 use zcomp_kernels::layer_exec::Scheme;
 use zcomp_kernels::relu::ReluScheme;
 
 /// The scaled full-network run is the most expensive fixture; share it.
 fn fullnet_quick() -> &'static FullNetResult {
     static RESULT: OnceLock<FullNetResult> = OnceLock::new();
-    RESULT.get_or_init(|| fullnet::run(32))
+    RESULT.get_or_init(|| {
+        let out = fullnet::run_sweep(32, &SweepOpts::serial()).expect("serial sweep");
+        assert!(
+            out.result.quarantined.is_empty(),
+            "{:?}",
+            out.result.quarantined
+        );
+        out.result
+    })
+}
+
+/// A serial, uncached Fig. 12 sweep that must complete every cell.
+fn fig12_serial(configs: &[DeepBenchConfig], scale_divisor: usize) -> Fig12Result {
+    let out =
+        fig12::run_sweep(configs, scale_divisor, 0.53, &SweepOpts::serial()).expect("serial sweep");
+    assert!(
+        out.result.quarantined.is_empty(),
+        "{:?}",
+        out.result.quarantined
+    );
+    out.result
 }
 
 /// §5.2 / Fig. 12: both compression schemes cut core and DRAM traffic;
@@ -20,7 +42,7 @@ fn fullnet_quick() -> &'static FullNetResult {
 #[test]
 fn relu_traffic_reductions_follow_paper_ordering() {
     let configs = suite_configs(Suite::ConvTrain);
-    let result = fig12::run_configs(&configs[4..9], 64, 0.53);
+    let result = fig12_serial(&configs[4..9], 64);
     let s = result.summary();
     assert!(
         s.zcomp_core_reduction > 0.25,
@@ -52,7 +74,7 @@ fn relu_traffic_reductions_follow_paper_ordering() {
 fn zcomp_is_fastest_on_large_shapes() {
     let configs = suite_configs(Suite::ConvTrain);
     // The largest conv-train shapes, scaled to stay several x the L3.
-    let result = fig12::run_configs(&configs[9..11], 4, 0.53);
+    let result = fig12_serial(&configs[9..11], 4);
     for row in &result.rows {
         assert!(
             row.speedup(ReluScheme::Zcomp) > 1.2,
@@ -70,7 +92,7 @@ fn zcomp_is_fastest_on_large_shapes() {
 #[test]
 fn avx512_comp_degrades_small_shapes() {
     let configs = suite_configs(Suite::ConvInfer);
-    let result = fig12::run_configs(&configs[..3], 1, 0.53);
+    let result = fig12_serial(&configs[..3], 1);
     let degraded = result
         .rows
         .iter()
