@@ -7,9 +7,13 @@
 //!    at the current drift epoch, padded to a power-of-two batch size) is
 //!    actually executed once through the cycle-level simulator at the
 //!    instance's thread share. That yields the solo wall cycles plus the
-//!    batch's DRAM and L3-fill byte demand. Profiles are memoized per
-//!    `(tenant, drift epoch, padded batch)` — the discrete-event loop then
-//!    replays them thousands of times for free.
+//!    batch's DRAM and L3-fill byte demand. Compressed profiles are
+//!    memoized per `(tenant, drift epoch, padded batch)`; uncompressed
+//!    ones — a [`Scheme::None`] model and every fallback profile — per
+//!    padded batch alone, because a `Scheme::None` run never reads the
+//!    sparsity profile (stored bytes equal the allocation and no header
+//!    region exists). The discrete-event loop then replays them
+//!    thousands of times for free.
 //!
 //! 2. **Contention.** Co-resident instances share the machine's DRAM and
 //!    NoC budgets. With `k` instances busy, each sees `1/k` of the pool's
@@ -79,9 +83,12 @@ pub struct ServiceModel {
     noc_budget: f64,
     threads: usize,
     backend: Backend,
+    /// Primary profiles by `(tenant, epoch, padded)`; a [`Scheme::None`]
+    /// network model keys them `(0, 0, padded)`.
     memo: BTreeMap<(usize, usize, usize), ServiceProfile>,
     /// Uncompressed-fallback profiles for degraded batches (only
-    /// populated when the chaos path asks for them).
+    /// populated when the chaos path asks for them); the network backend
+    /// keys them `(0, 0, padded)`.
     fallback_memo: BTreeMap<(usize, usize, usize), ServiceProfile>,
 }
 
@@ -156,7 +163,18 @@ impl ServiceModel {
         padded: usize,
         fallback: bool,
     ) -> ServiceProfile {
-        let key = (tenant, epoch, padded);
+        // An uncompressed network run is blind to sparsity (guarded by
+        // zcomp-kernels' `uncompressed_run_is_blind_to_sparsity`), so
+        // every tenant and drift epoch shares one profile per padded batch.
+        let sparsity_blind = match &self.backend {
+            Backend::Network { cfg, .. } => fallback || cfg.scheme == Scheme::None,
+            Backend::Fixed { .. } => false,
+        };
+        let key = if sparsity_blind {
+            (0, 0, padded)
+        } else {
+            (tenant, epoch, padded)
+        };
         let memo = if fallback {
             &self.fallback_memo
         } else {
@@ -188,7 +206,7 @@ impl ServiceModel {
                 let net = nets
                     .entry(padded)
                     .or_insert_with(|| cfg.model.build(padded));
-                let sparsity = tenants[tenant].profile(net, epoch);
+                let sparsity = tenants[key.0].profile(net, key.1);
                 let mut machine = Machine::new(cfg.sim.clone(), UopTable::skylake_x());
                 let scheme = if fallback { Scheme::None } else { cfg.scheme };
                 let result = run_network(
@@ -323,6 +341,35 @@ mod tests {
         let mut m = fixed_model(1000.0, 0.0, 0.0);
         m.batch_cost(0, 0, 1, 1);
         m.batch_cost(1, 1, 1, 1);
+        assert_eq!(m.memo.len(), 2);
+    }
+
+    fn resnet32(scheme: Scheme) -> ServiceModel {
+        ServiceModel::for_network(&ServeConfig::new(
+            zcomp_dnn::models::ModelId::Resnet32,
+            scheme,
+            1,
+        ))
+    }
+
+    #[test]
+    fn uncompressed_profiles_are_shared_across_tenants_and_epochs() {
+        let mut m = resnet32(Scheme::None);
+        let a = m.batch_cost(0, 0, 1, 1);
+        let b = m.batch_cost(2, 1, 1, 1);
+        assert_eq!(m.memo.len(), 1);
+        assert_eq!(a, b);
+        let fa = m.fallback_batch_cost(0, 0, 1, 1);
+        let fb = m.fallback_batch_cost(1, 1, 1, 1);
+        assert_eq!(m.fallback_memo.len(), 1);
+        assert_eq!(fa, fb);
+    }
+
+    #[test]
+    fn compressed_profiles_stay_per_tenant_and_epoch() {
+        let mut m = resnet32(Scheme::Zcomp);
+        m.batch_cost(0, 0, 1, 1);
+        m.batch_cost(2, 1, 1, 1);
         assert_eq!(m.memo.len(), 2);
     }
 }

@@ -427,6 +427,26 @@ mod tests {
         assert_eq!(stored_bytes(64 * 1024, 0.53, Scheme::None), 64 * 1024);
     }
 
+    proptest::proptest! {
+        #[test]
+        fn stored_bytes_never_rise_with_sparsity(
+            alloc in 0u64..1 << 40,
+            a in 0.0f64..=1.0,
+            b in 0.0f64..=1.0,
+        ) {
+            let (s1, s2) = (a.min(b), a.max(b));
+            for scheme in [Scheme::Zcomp, Scheme::Avx512Comp] {
+                proptest::prop_assert!(
+                    stored_bytes(alloc, s2, scheme) <= stored_bytes(alloc, s1, scheme)
+                );
+            }
+            proptest::prop_assert_eq!(
+                stored_bytes(alloc, s2, Scheme::None),
+                stored_bytes(alloc, s1, Scheme::None)
+            );
+        }
+    }
+
     #[test]
     fn dense_buffer_expands_with_metadata() {
         // §4.1: without compressibility the stream exceeds the original

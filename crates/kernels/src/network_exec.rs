@@ -400,6 +400,54 @@ mod tests {
         );
     }
 
+    fn run_profile(net: &Network, profile: &SparsityProfile, scheme: Scheme) -> RunSummary {
+        let mut machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
+        let opts = NetworkExecOpts {
+            scheme,
+            ..NetworkExecOpts::default()
+        };
+        run_network(&mut machine, net, profile, &opts).summary
+    }
+
+    #[test]
+    fn uncompressed_run_is_blind_to_sparsity() {
+        // `ServiceModel::profile_at` (zcomp `serve::service`) keys every
+        // uncompressed profile by padded batch alone, sharing one across
+        // all tenants and drift epochs, on the strength of this
+        // invariance. If a `Scheme::None` run ever reads sparsity, that
+        // memo key must go back to `(tenant, epoch, padded)`.
+        let net = ModelId::Resnet32.build(1);
+        let model = SparsityModel::default();
+        let p = model.for_tenant(0).profile(&net, 0);
+        let q = model.for_tenant(2).profile(&net, 1);
+        assert_ne!(p, q);
+        let a = run_profile(&net, &p, Scheme::None);
+        let b = run_profile(&net, &q, Scheme::None);
+        // Traffic, L1/L2/L3 stats and the rest compare by value; wall
+        // cycles by bits.
+        assert_eq!(a.wall_cycles.to_bits(), b.wall_cycles.to_bits());
+        assert_eq!(a, b);
+        // The same pair is distinguishable once compression reads it.
+        let za = run_profile(&net, &p, Scheme::Zcomp);
+        let zb = run_profile(&net, &q, Scheme::Zcomp);
+        assert_ne!(za.traffic.dram_bytes, zb.traffic.dram_bytes);
+    }
+
+    #[test]
+    fn zcomp_core_bytes_never_rise_with_sparsity() {
+        // Core bytes are the exact sum of streamed stored bytes; DRAM
+        // bytes are left out, since cache effects may make them
+        // non-monotone.
+        let net = ModelId::Resnet32.build(1);
+        let uniform = |s: f64| SparsityProfile {
+            per_layer: vec![s; net.layers.len()],
+        };
+        let core = |r: &RunSummary| r.traffic.core_read_bytes + r.traffic.core_write_bytes;
+        let lo = run_profile(&net, &uniform(0.3), Scheme::Zcomp);
+        let hi = run_profile(&net, &uniform(0.7), Scheme::Zcomp);
+        assert!(core(&hi) <= core(&lo), "{} > {}", core(&hi), core(&lo));
+    }
+
     #[test]
     fn training_runs_forward_and_backward_phases() {
         let r = run(ModelId::Resnet32, 2, Scheme::None, true);
