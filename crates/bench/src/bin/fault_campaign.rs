@@ -4,9 +4,7 @@
 //! (interleaved, no checksum) integrity policies. Campaign cells run
 //! under the supervised runtime — a panicking (site, rate) cell is
 //! quarantined and reported (exit 3) instead of aborting the campaign —
-//! and the shared run flags apply: `--attempts`/`--deadline-ms` set the
-//! supervision policy, and `--fabric-dir` (plus `--workers N`) runs the
-//! campaign on the crash-safe multi-process lease fabric.
+//! and `--attempts`/`--deadline-ms` set the supervision policy.
 
 use zcomp::experiments::fault_campaign::{run_sweep, CampaignConfig, FaultCampaignResult};
 use zcomp::report::pct;
@@ -37,9 +35,6 @@ fn main() {
     let args = Args::from_env(Flags::Supervised);
     print_machine();
     let cfg = CampaignConfig::default_scaled(args.scale);
-    // The two policies share the fabric directory safely: cell keys name
-    // the policy and each campaign's journal fingerprint covers its
-    // whole configuration.
     let (strong_out, weak_out) = args.run(|opts| {
         Ok((
             run_sweep(&cfg, opts)?,

@@ -9,15 +9,12 @@
 //! cell under `DIR` and restores the cells the journal already holds —
 //! same cell, same machine config, same executable — so a rerun executes
 //! nothing and writes byte-identical `--json`, and a killed run continues
-//! where it stopped; `--refresh` recomputes every cell. With
-//! `--fabric-dir` (and `--workers N`) the sweep runs on the crash-safe
-//! multi-process lease fabric; a drained worker exits with code 4.
+//! where it stopped; `--refresh` recomputes every cell.
 //!
 //! ```text
 //! fig12_relu_deepbench [--quick|--scale N] [--json PATH] [--quiet]
-//!     [--threads N] [--traces DIR] [--refresh] [--resume] [--attempts N]
-//!     [--deadline-ms MS] [--fabric-dir DIR] [--worker-id ID]
-//!     [--lease-ttl-ms MS] [--workers N]
+//!     [--threads N] [--traces DIR] [--refresh] [--attempts N]
+//!     [--deadline-ms MS]
 //! ```
 
 use zcomp::experiments::fig12::{self, Panel};

@@ -2,8 +2,7 @@
 //! baseline for training and inference. Cells run under the supervised
 //! runtime; a sick cell is quarantined (exit 3) instead of taking the
 //! figure down. The flags are `fig12_relu_deepbench`'s: `--traces DIR`
-//! journals and restores cells, `--fabric-dir` runs the sweep on the
-//! multi-process lease fabric.
+//! journals and restores cells, `--refresh` recomputes them.
 
 use zcomp_bench::{print_machine, print_table, report_supervision, Args, Flags};
 

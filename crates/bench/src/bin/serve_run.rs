@@ -17,10 +17,11 @@
 //! chaos.
 //!
 //! Cells run under the supervised sweep runtime (`run_cells`): panic
-//! quarantine, retries, `--resume`, and the multi-process lease fabric
-//! via `--fabric-dir`/`--workers` all behave as in the other sweep
-//! binaries. Exit codes: 0 clean, 1 I/O error, 2 usage, 3 quarantined
-//! cells, 4 fabric drained.
+//! quarantine and retries behave as in the other sweep binaries. With
+//! `--traces DIR` each finished cell is journalled under `DIR`, and a
+//! rerun over the same root restores them instead of executing (a killed
+//! run resumes where it stopped); `--refresh` recomputes every cell.
+//! Exit codes: 0 clean, 1 I/O error, 2 usage, 3 quarantined cells.
 //!
 //! `--smoke` runs the CI gate instead: the short smoke grid twice,
 //! asserting the two runs serialize byte-identically and that the
@@ -31,9 +32,8 @@
 //!
 //! ```text
 //! serve_run [--smoke] [--chaos] [--quick|--scale N] [--threads N]
-//!           [--json PATH] [--resume] [--attempts N]
-//!           [--deadline-ms MS] [--fabric-dir DIR] [--worker-id ID]
-//!           [--lease-ttl-ms MS] [--workers N] [--quiet]
+//!           [--traces DIR [--refresh]] [--json PATH] [--attempts N]
+//!           [--deadline-ms MS] [--quiet]
 //! ```
 
 use std::process::exit;
@@ -155,7 +155,7 @@ fn chaos_main(args: &Args, threads: usize) -> ! {
 
 fn main() {
     // This binary's own flags, parsed around the shared command line.
-    let (args, [gate, chaos]) = Args::from_env_with(Flags::Threaded, ["--smoke", "--chaos"]);
+    let (args, [gate, chaos]) = Args::from_env_with(Flags::Cached, ["--smoke", "--chaos"]);
     if gate {
         smoke();
     }

@@ -2,8 +2,7 @@
 //! footprint balance (§2.3's motivation for larger batches stressing the
 //! memory system). Each model sweeps as a supervised cell, so one sick
 //! model is quarantined (exit 3) instead of losing the other tables; the
-//! supervised-run flags (`--attempts`, `--deadline-ms`, `--fabric-dir`)
-//! apply.
+//! supervision flags (`--attempts`, `--deadline-ms`) apply.
 
 use zcomp::experiments::sweeps::batch_sweep;
 use zcomp::sweep::run_cells;

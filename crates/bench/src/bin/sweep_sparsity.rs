@@ -2,8 +2,7 @@
 //! DeepBench-scale ReLU layer (complements §4.1's break-even analysis).
 //! Each sparsity point simulates as a supervised cell; quarantined points
 //! are omitted from the table and reported on stderr (exit 3). The
-//! supervised-run flags (`--attempts`, `--deadline-ms`, `--fabric-dir`)
-//! apply.
+//! supervision flags (`--attempts`, `--deadline-ms`) apply.
 
 use zcomp::experiments::sweeps::{sparsity_sweep, SparsitySweepResult};
 use zcomp::sweep::run_cells;

@@ -1,8 +1,8 @@
 //! Extension sweep: thread-count scalability of the three ReLU schemes
 //! (§4.3's partitioned-parallelization scaling argument). Each thread
 //! count simulates as a supervised cell; quarantined points are omitted
-//! from the table and reported on stderr (exit 3). The supervised-run
-//! flags (`--attempts`, `--deadline-ms`, `--fabric-dir`) apply.
+//! from the table and reported on stderr (exit 3). The supervision flags
+//! (`--attempts`, `--deadline-ms`) apply.
 
 use zcomp::experiments::thread_sweep::{self, ThreadSweepResult};
 use zcomp::sweep::run_cells;

@@ -7,12 +7,11 @@
 //! * `--scale <N>` — explicit scale divisor (1 = the paper's full sizes);
 //! * `--json <path>` — also write the typed result as JSON;
 //! * `--quiet` — silence the leveled stderr logger (overrides `ZCOMP_LOG`);
-//! * supervised sweeps add the run and fabric flags (`--resume`,
-//!   `--attempts`, `--deadline-ms`, `--fabric-dir`, `--worker-id`,
-//!   `--lease-ttl-ms`, `--workers`);
-//! * threaded sweeps add `--threads <N>` (0 = one per core, the default);
-//! * cached sweeps add `--traces <dir>` (the journal's cache root) and
-//!   `--refresh` (recompute every cell instead of restoring it).
+//! * supervised sweeps add the supervision flags (`--attempts`,
+//!   `--deadline-ms`);
+//! * cached sweeps add `--threads <N>` (0 = one per core, the default),
+//!   `--traces <dir>` (the journal's cache root) and `--refresh`
+//!   (recompute every cell instead of restoring it).
 //!
 //! Each binary prints the Table-1 machine configuration first, then the
 //! figure's rows.
@@ -23,7 +22,6 @@
 //! a clean `error: …` + exit code 2 — never a panic with a backtrace
 //! pointing at the parser.
 
-use zcomp::fabric::FabricOpts;
 use zcomp::report::Table;
 use zcomp::supervise::SuperviseOpts;
 use zcomp::sweep::{CacheMode, SupervisionReport, SweepError, SweepOpts, SweepOutcome};
@@ -73,31 +71,18 @@ fn number_of<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
     Ok(value)
 }
 
-/// The supervised-run and fabric flags, for usage messages:
-///
-/// * `--resume` — keep the fabric directory instead of clearing it;
-/// * `--attempts <N>` — attempts per cell before quarantine;
-/// * `--deadline-ms <N>` — per-cell watchdog deadline (0 = none);
-/// * `--fabric-dir <path>` — join the multi-process lease fabric there;
-/// * `--worker-id <id>` — stable fabric worker id (default `w<pid>`);
-/// * `--lease-ttl-ms <N>` — fabric lease time-to-live;
-/// * `--workers <N>` — spawn N-1 sibling worker processes of this binary.
-const RUN_FLAGS: &str =
-    "--resume/--attempts/--deadline-ms/--fabric-dir/--worker-id/--lease-ttl-ms/--workers";
-
 /// How much of [`Args`] a binary honours; each level adds flags to the
 /// one before it, and any flag above a binary's level is a usage error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Flags {
     /// `--quick/--scale/--json/--quiet` only.
     Figure,
-    /// Plus the supervised-run and fabric flags (`--resume`,
-    /// `--attempts`, `--deadline-ms`, `--fabric-dir`, `--worker-id`,
-    /// `--lease-ttl-ms`, `--workers`).
+    /// Plus the supervision flags: `--attempts <N>` (attempts per cell
+    /// before quarantine) and `--deadline-ms <N>` (per-cell watchdog
+    /// deadline, 0 = none).
     Supervised,
-    /// Plus `--threads`.
-    Threaded,
-    /// Plus the cache root: `--traces/--refresh`.
+    /// Plus `--threads` and the cache root: `--traces/--refresh`. A
+    /// cached sweep restores its journal unless `--refresh` is given.
     Cached,
 }
 
@@ -106,9 +91,8 @@ impl Flags {
     fn usage(self, own: &[&str]) -> String {
         let mut usage = "--quick/--scale/--json/--quiet".to_string();
         for (level, flags) in [
-            (Flags::Supervised, RUN_FLAGS),
-            (Flags::Threaded, "--threads"),
-            (Flags::Cached, "--traces/--refresh"),
+            (Flags::Supervised, "--attempts/--deadline-ms"),
+            (Flags::Cached, "--threads/--traces/--refresh"),
         ] {
             if self >= level {
                 usage.push_str(", ");
@@ -139,20 +123,10 @@ pub struct Args {
     pub traces: Option<String>,
     /// Ignore the journal and recompute every cell.
     pub refresh: bool,
-    /// Keep the fabric directory instead of clearing it.
-    pub resume: bool,
     /// Attempts per cell before quarantine.
     pub attempts: u32,
     /// Per-cell watchdog deadline in milliseconds (0 = none).
     pub deadline_ms: Option<u64>,
-    /// Fabric directory; `Some` means the sweep joins the lease fabric.
-    pub fabric_dir: Option<String>,
-    /// Explicit fabric worker id (default: `w<pid>`).
-    pub worker_id: Option<String>,
-    /// Fabric lease time-to-live in milliseconds.
-    pub lease_ttl_ms: u64,
-    /// Worker processes for the fabric sweep (1 = just this process).
-    pub workers: usize,
 }
 
 impl Args {
@@ -163,16 +137,11 @@ impl Args {
             scale: 1,
             json: None,
             quiet: false,
-            threads: usize::from(flags < Flags::Threaded),
+            threads: usize::from(flags < Flags::Cached),
             traces: None,
             refresh: false,
-            resume: false,
             attempts: SuperviseOpts::default().max_attempts,
             deadline_ms: None,
-            fabric_dir: None,
-            worker_id: None,
-            lease_ttl_ms: 30_000,
-            workers: 1,
         }
     }
 
@@ -191,11 +160,7 @@ impl Args {
     where
         I: IntoIterator<Item = String>,
     {
-        let (run, threaded, cached) = (
-            flags >= Flags::Supervised,
-            flags >= Flags::Threaded,
-            flags >= Flags::Cached,
-        );
+        let (run, cached) = (flags >= Flags::Supervised, flags >= Flags::Cached);
         let mut out = Args::new(flags);
         let mut given = [false; N];
         let mut it = args.into_iter();
@@ -210,18 +175,13 @@ impl Args {
                 "--scale" => out.scale = number_of(it, "--scale", 1)?,
                 "--json" => out.json = Some(value_of(it, "--json")?),
                 "--quiet" => out.quiet = true,
-                "--threads" if threaded => out.threads = number_of(it, "--threads", 0)?,
+                "--threads" if cached => out.threads = number_of(it, "--threads", 0)?,
                 "--traces" if cached => out.traces = Some(value_of(it, "--traces")?),
                 "--refresh" if cached => out.refresh = true,
-                "--resume" if run => out.resume = true,
                 "--attempts" if run => out.attempts = number_of(it, "--attempts", 1)?,
                 "--deadline-ms" if run => {
                     out.deadline_ms = Some(number_of(it, "--deadline-ms", 0)?)
                 }
-                "--fabric-dir" if run => out.fabric_dir = Some(value_of(it, "--fabric-dir")?),
-                "--worker-id" if run => out.worker_id = Some(value_of(it, "--worker-id")?),
-                "--lease-ttl-ms" if run => out.lease_ttl_ms = number_of(it, "--lease-ttl-ms", 1)?,
-                "--workers" if run => out.workers = number_of(it, "--workers", 1)?,
                 _ => {
                     return Err(CliError::new(format!(
                         "unknown argument: {arg} (expected {})",
@@ -229,9 +189,6 @@ impl Args {
                     )))
                 }
             }
-        }
-        if out.workers > 1 && out.fabric_dir.is_none() {
-            return Err(CliError::new("--workers needs --fabric-dir"));
         }
         if out.refresh && out.traces.is_none() {
             return Err(CliError::new("--refresh needs --traces"));
@@ -284,8 +241,7 @@ impl Args {
     }
 
     /// The sweep options these arguments describe: thread count, cache
-    /// root and journal policy, supervision policy, resume flag and
-    /// fabric membership.
+    /// root and journal policy, and supervision policy.
     pub fn sweep_opts(&self) -> SweepOpts {
         let threads = match self.threads {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -298,7 +254,6 @@ impl Args {
         let mut opts = SweepOpts::serial()
             .with_threads(threads)
             .with_supervise(supervise)
-            .with_resume(self.resume)
             .with_mode(if self.refresh {
                 CacheMode::Refresh
             } else {
@@ -307,25 +262,16 @@ impl Args {
         if let Some(root) = &self.traces {
             opts = opts.with_cache(root);
         }
-        if let Some(dir) = &self.fabric_dir {
-            let mut fabric = FabricOpts::new(dir)
-                .with_lease_ttl(std::time::Duration::from_millis(self.lease_ttl_ms));
-            if let Some(worker) = &self.worker_id {
-                fabric = fabric.with_worker(worker.clone());
-            }
-            opts = opts.with_fabric(fabric);
-        }
         opts
     }
 
-    /// Runs `sweep` with [`Args::sweep_opts`], alongside the `--workers`
-    /// siblings, and reaps them. A sweep error exits the process: code 4
-    /// for a graceful fabric drain, 1 otherwise.
+    /// Runs `sweep` with [`Args::sweep_opts`]. A sweep error prints
+    /// `error: …` and exits with code 1.
     pub fn run<R>(&self, sweep: impl FnOnce(&SweepOpts) -> Result<R, SweepError>) -> R {
-        let siblings = spawn_fabric_workers(self);
-        let out = sweep(&self.sweep_opts());
-        reap_fabric_workers(siblings);
-        out.unwrap_or_else(|e| sweep_error_exit(&e))
+        sweep(&self.sweep_opts()).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
     }
 }
 
@@ -333,8 +279,8 @@ impl Args {
 /// do, and returns its result. A quarantined cell prints the supervision
 /// report and exits 3.
 pub fn run_serial<R>(sweep: impl FnOnce(&SweepOpts) -> Result<SweepOutcome<R>, SweepError>) -> R {
-    // An uncached serial sweep has no journal and no fabric, the only
-    // sources of a `SweepError`.
+    // An uncached serial sweep has no journal, the only source of a
+    // `SweepError`.
     let out = sweep(&SweepOpts::serial()).expect("an uncached serial sweep cannot fail");
     if !out.supervision.quarantined.is_empty() {
         std::process::exit(report_supervision(&out.supervision));
@@ -342,9 +288,8 @@ pub fn run_serial<R>(sweep: impl FnOnce(&SweepOpts) -> Result<SweepOutcome<R>, S
     out.result
 }
 
-/// Prints the supervision summary (which includes the fabric summary
-/// when the sweep ran on a lease fabric) to stdout and any quarantine
-/// details to stderr, then returns the exit code the supervision
+/// Prints the supervision summary to stdout and any quarantine details
+/// to stderr, then returns the exit code the supervision
 /// contract demands: 0 for a clean run, 3 when cells were quarantined.
 pub fn report_supervision(report: &SupervisionReport) -> i32 {
     println!("supervision: {}", report.summary());
@@ -355,102 +300,6 @@ pub fn report_supervision(report: &SupervisionReport) -> i32 {
         0
     } else {
         3
-    }
-}
-
-/// Prints a sweep error and exits: code 4 for a graceful fabric drain
-/// (progress so far is journalled; re-running with the same fabric
-/// directory resumes), 1 for everything else.
-fn sweep_error_exit(e: &SweepError) -> ! {
-    eprintln!("error: {e}");
-    match e {
-        SweepError::FabricDrained { .. } => std::process::exit(4),
-        _ => std::process::exit(1),
-    }
-}
-
-/// Prepares the fabric for this process and spawns the `--workers N`
-/// siblings: for a fresh (non-`--resume`) run the fabric directory is
-/// cleared first so stale leases and journals cannot leak in, then
-/// `N - 1` copies of this binary are re-invoked with the same arguments
-/// minus the caller-only flags (`--workers`, `--json`, `--worker-id`)
-/// plus a derived `--worker-id`, `--resume` (the directory is already
-/// reset) and `--quiet`. Returns the children for
-/// [`reap_fabric_workers`]; empty without `--fabric-dir`.
-fn spawn_fabric_workers(run: &Args) -> Vec<std::process::Child> {
-    let Some(dir) = &run.fabric_dir else {
-        return Vec::new();
-    };
-    if !run.resume {
-        if let Err(e) = std::fs::remove_dir_all(dir) {
-            if e.kind() != std::io::ErrorKind::NotFound {
-                eprintln!("error: cannot reset fabric dir {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if run.workers <= 1 {
-        return Vec::new();
-    }
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("error: cannot locate this binary to spawn fabric workers: {e}");
-            std::process::exit(1);
-        }
-    };
-    let base = run
-        .worker_id
-        .clone()
-        .unwrap_or_else(|| format!("w{}", std::process::id()));
-    let args = sibling_args();
-    let mut children = Vec::with_capacity(run.workers - 1);
-    for n in 1..run.workers {
-        match std::process::Command::new(&exe)
-            .args(&args)
-            .arg("--worker-id")
-            .arg(format!("{base}-s{n}"))
-            .stdout(std::process::Stdio::null())
-            .spawn()
-        {
-            Ok(child) => children.push(child),
-            // A missing sibling is not fatal: the fabric completes with
-            // however many workers actually started.
-            Err(e) => eprintln!("cannot spawn fabric worker {n}: {e}"),
-        }
-    }
-    children
-}
-
-/// The calling binary's arguments with the caller-only flags stripped
-/// and the sibling-only ones appended.
-fn sibling_args() -> Vec<String> {
-    let mut args = Vec::new();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--workers" | "--json" | "--worker-id" => {
-                let _ = it.next();
-            }
-            "--resume" | "--quiet" => {}
-            _ => args.push(arg),
-        }
-    }
-    args.push("--resume".to_string());
-    args.push("--quiet".to_string());
-    args
-}
-
-/// Waits for the sibling fabric workers. A dead or failing sibling is
-/// reported but never fatal: the fabric reclaims its cells, and the
-/// calling worker's merged result is already complete.
-fn reap_fabric_workers(children: Vec<std::process::Child>) {
-    for mut child in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => eprintln!("fabric worker exited with {status}"),
-            Err(e) => eprintln!("cannot wait for fabric worker: {e}"),
-        }
     }
 }
 
@@ -484,7 +333,7 @@ mod tests {
         assert!(!a.quiet);
         let opts = a.sweep_opts();
         assert_eq!(opts.threads, 1, "figure binaries run their cells serially");
-        assert!(opts.cache_root.is_none() && opts.fabric.is_none() && !opts.resume);
+        assert!(opts.cache_root.is_none());
         assert_eq!(opts.supervise, SuperviseOpts::default());
         let threaded = parse(&[], Flags::Cached).unwrap();
         assert_eq!(threaded.threads, 0, "threaded binaries use every core");
@@ -522,8 +371,8 @@ mod tests {
         for (args, level) in [
             (&["--attempts", "2"][..], Flags::Figure),
             (&["--threads", "2"], Flags::Supervised),
-            (&["--traces", "t"], Flags::Threaded),
-            (&["--traces", "t", "--refresh"], Flags::Threaded),
+            (&["--traces", "t"], Flags::Supervised),
+            (&["--traces", "t", "--refresh"], Flags::Supervised),
         ] {
             let e = parse(args, level).unwrap_err();
             assert!(e.to_string().contains("unknown argument"), "{args:?}: {e}");
@@ -556,28 +405,18 @@ mod tests {
                 "--refresh",
                 "--json",
                 "R.json",
-                "--resume",
                 "--attempts",
                 "3",
                 "--deadline-ms",
                 "1500",
-                "--fabric-dir",
-                "/tmp/fab",
-                "--worker-id",
-                "w-a",
-                "--lease-ttl-ms",
-                "2000",
-                "--workers",
-                "3",
                 "--quiet",
             ],
             Flags::Cached,
         )
         .unwrap();
         assert_eq!(a.scale, 8);
-        assert!(a.refresh && a.quiet && a.resume);
+        assert!(a.refresh && a.quiet);
         assert_eq!(a.json.as_deref(), Some("R.json"));
-        assert_eq!(a.workers, 3);
 
         let opts = a.sweep_opts();
         assert_eq!(opts.threads, 4);
@@ -585,28 +424,33 @@ mod tests {
             opts.cache_root.as_deref(),
             Some(std::path::Path::new("/tmp/t"))
         );
+        // The experiment derives resume from the cache mode.
         assert_eq!(opts.cache_mode, CacheMode::Refresh);
-        assert!(opts.resume);
         assert_eq!(opts.supervise.max_attempts, 3);
         assert_eq!(
             opts.supervise.deadline,
             Some(std::time::Duration::from_millis(1500))
         );
-        let fabric = opts.fabric.expect("fabric opts attached");
-        assert_eq!(fabric.dir, std::path::PathBuf::from("/tmp/fab"));
-        assert_eq!(fabric.worker, "w-a");
-        assert_eq!(fabric.lease_ttl, std::time::Duration::from_millis(2000));
     }
 
     #[test]
     fn cross_flag_requirements_are_typed_errors() {
-        let e = parse(&["--workers", "3"], Flags::Supervised).unwrap_err();
-        assert!(
-            e.to_string().contains("--workers needs --fabric-dir"),
-            "{e}"
-        );
         let e = parse(&["--refresh"], Flags::Cached).unwrap_err();
         assert!(e.to_string().contains("--refresh needs --traces"), "{e}");
+    }
+
+    #[test]
+    fn removed_flags_are_usage_errors() {
+        for args in [
+            &["--fabric-dir", "/tmp/fab"][..],
+            &["--workers", "3"],
+            &["--resume"],
+            &["--worker-id", "w-a"],
+            &["--lease-ttl-ms", "2000"],
+        ] {
+            let e = parse(args, Flags::Cached).unwrap_err().to_string();
+            assert!(e.contains(&format!("unknown argument: {}", args[0])), "{e}");
+        }
     }
 
     #[test]
@@ -614,22 +458,18 @@ mod tests {
         let own = ["--smoke", "--chaos"];
         let (a, given) = Args::parse_with(
             ["--threads", "2", "--chaos", "--quick"].map(String::from),
-            Flags::Threaded,
+            Flags::Cached,
             own,
         )
         .unwrap();
         assert_eq!(given, [false, true]);
         assert_eq!((a.threads, a.scale), (2, 64));
-        let e = parse(&["--chaos"], Flags::Threaded).unwrap_err();
+        let e = parse(&["--chaos"], Flags::Cached).unwrap_err();
         assert!(e.to_string().contains("unknown argument"), "{e}");
         // A usage error lists the binary's own flags with the shared ones.
-        let e = Args::parse_with(
-            ["--bench", "x.json"].map(String::from),
-            Flags::Threaded,
-            own,
-        )
-        .unwrap_err()
-        .to_string();
+        let e = Args::parse_with(["--bench", "x.json"].map(String::from), Flags::Cached, own)
+            .unwrap_err()
+            .to_string();
         assert!(e.contains("unknown argument: --bench"), "{e}");
         assert!(
             e.contains("--threads") && e.contains("--smoke") && e.contains("--chaos"),

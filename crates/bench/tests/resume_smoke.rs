@@ -96,10 +96,9 @@ fn resume_with_empty_journal_is_a_full_run() {
     let dir = tmp_dir("fresh");
     let json = dir.join("out.json");
     let status = fig12_cmd(&dir.join("traces"), &json)
-        .arg("--resume")
         .status()
-        .expect("spawn fig12_relu_deepbench --resume");
-    assert!(status.success(), "fresh --resume run failed: {status}");
+        .expect("spawn fig12_relu_deepbench");
+    assert!(status.success(), "fresh cached run failed: {status}");
     assert!(json.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -298,9 +298,7 @@ impl FaultCampaignResult {
 /// hung cell is retried per `opts.supervise` and, if it keeps failing,
 /// quarantined into the result's `quarantined` list with a zeroed
 /// placeholder cell — the rest of the campaign completes. With a cache
-/// root the cells are journalled for `opts.resume`, and with
-/// `opts.fabric` the campaign joins a multi-process lease fabric like the
-/// figure sweeps.
+/// root the cells are journalled, and restored when `opts.resume` is set.
 ///
 /// The clean control run stays *unsupervised*: if the baseline itself
 /// cannot run there is nothing meaningful to salvage, so that panic
@@ -315,6 +313,7 @@ pub fn run_sweep(
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<FaultCampaignResult>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "fault_campaign");
+    let opts = &opts.reusing_journal();
     assert!(cfg.trials > 0, "campaign needs at least one trial");
     assert_eq!(cfg.elements % 16, 0, "elements must be whole vectors");
     let data = std::sync::Arc::new(layer_data(cfg));
@@ -334,7 +333,7 @@ pub fn run_sweep(
     // The fingerprint covers the whole campaign configuration, and the
     // cell key names the integrity policy: cells journalled by the
     // strong campaign can never be resumed into the weak one even when
-    // both share a fabric directory or cache root.
+    // both share a cache root.
     let fingerprint = opts.fingerprint(campaign_fingerprint(cfg));
     let key_of = |idx: usize| {
         let (site, rate) = pairs[idx];
@@ -565,7 +564,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let opts = SweepOpts::default().with_cache(&root).with_threads(3);
         let threaded = run_sweep(&cfg, &opts).expect("threaded campaign");
-        let resumed = run_sweep(&cfg, &opts.with_resume(true)).expect("resumed campaign");
+        let resumed = run_sweep(&cfg, &opts).expect("resumed campaign");
         let _ = std::fs::remove_dir_all(&root);
 
         assert_eq!(threaded.result, reference);

@@ -18,7 +18,7 @@ use zcomp_sim::stats::PrefetchStats;
 
 use crate::report::{fmt_bytes, mean, pct, Table};
 use crate::supervise::{CellFailure, CellOutcome};
-use crate::sweep::{run_cells, CacheMode, SweepError, SweepOpts, SweepOutcome};
+use crate::sweep::{run_cells, SweepError, SweepOpts, SweepOutcome};
 
 /// The three schemes in plotting order.
 pub const SCHEMES: [ReluScheme; 3] = [
@@ -219,8 +219,8 @@ pub fn run_configs(
     scale_divisor: usize,
     sparsity: f64,
 ) -> Fig12Result {
-    // An uncached serial sweep has no journal and no fabric, the only
-    // sources of a `SweepError`.
+    // An uncached serial sweep has no journal, the only source of a
+    // `SweepError`.
     run_sweep(configs, scale_divisor, sparsity, &SweepOpts::serial())
         .expect("an uncached serial sweep cannot fail")
         .result
@@ -336,6 +336,9 @@ fn sweep_cell(
 /// of aborting the sweep. The merge is deterministic: results are
 /// assembled in config/scheme order regardless of which worker finished
 /// first, and a restored result is byte-identical to a computed one.
+///
+/// [`CacheMode::Auto`]: crate::sweep::CacheMode::Auto
+/// [`CacheMode::Refresh`]: crate::sweep::CacheMode::Refresh
 pub fn run_sweep(
     configs: &[DeepBenchConfig],
     scale_divisor: usize,
@@ -343,9 +346,7 @@ pub fn run_sweep(
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<Fig12Result>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "fig12-sweep");
-    // A cached sweep reuses its journal; only `CacheMode::Refresh`
-    // recomputes.
-    let opts = &opts.clone().with_resume(opts.cache_mode == CacheMode::Auto);
+    let opts = &opts.reusing_journal();
     let fingerprint = opts.fingerprint(config_fingerprint(&SimConfig::table1()));
     let items = configs.len() * SCHEMES.len();
     let key_of = |idx: usize| {
@@ -412,7 +413,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::run_sharded;
+    use crate::sweep::{run_sharded, CacheMode};
     use zcomp_dnn::deepbench::{all_configs, suite_configs, Suite};
 
     /// A serial, uncached sweep that must complete every cell.
@@ -582,18 +583,23 @@ mod tests {
         // The journal is keyed by this executable's identity...
         let path = root.join("fig12").join("journal.jsonl");
         let ours = Journal::load(&path).expect("journal");
+        assert_eq!(ours.len(), configs.len() * SCHEMES.len());
         let base = config_fingerprint(&SimConfig::table1());
-        assert!(ours
-            .iter()
-            .all(|(_, fp, _)| fp == fold_identity(base, model_identity())));
+        let own = fold_identity(base, model_identity());
         // ...so re-keying every record as if a different executable had
         // written it must leave nothing to restore.
         let other = fold_identity(base, model_identity() ^ 1);
         let mut theirs = Journal::fresh(&path);
-        for (cell, _, entry) in ours.iter() {
-            theirs
-                .commit(cell.to_string(), other, entry.payload.clone())
-                .expect("commit");
+        for (index, config) in configs.iter().enumerate() {
+            for scheme in SCHEMES {
+                let cell = cell_key(config, index, scheme, 4096, 0.53);
+                let payload = ours
+                    .lookup(&cell, own)
+                    .expect("journalled under our identity");
+                theirs
+                    .commit(cell, other, payload.to_string())
+                    .expect("commit");
+            }
         }
         assert_eq!(theirs.len(), configs.len() * SCHEMES.len());
 

@@ -17,7 +17,7 @@ use zcomp_sim::engine::{Machine, RunSummary};
 
 use crate::report::{mean, pct, Table};
 use crate::supervise::{CellFailure, CellOutcome};
-use crate::sweep::{run_cells, CacheMode, SweepError, SweepOpts, SweepOutcome};
+use crate::sweep::{run_cells, SweepError, SweepOpts, SweepOutcome};
 
 /// Training or inference column group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -253,14 +253,15 @@ fn cell_key(model: ModelId, mode: Mode, scheme: Scheme, batch: usize) -> String 
 /// the cell (zeroed placeholder slot + entry in `quarantined`) instead of
 /// aborting. The merge is deterministic regardless of scheduling, and a
 /// restored result is byte-identical to a computed one.
+///
+/// [`CacheMode::Auto`]: crate::sweep::CacheMode::Auto
+/// [`CacheMode::Refresh`]: crate::sweep::CacheMode::Refresh
 pub fn run_sweep(
     batch_divisor: usize,
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<FullNetResult>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "fullnet-sweep");
-    // A cached sweep reuses its journal; only `CacheMode::Refresh`
-    // recomputes.
-    let opts = &opts.clone().with_resume(opts.cache_mode == CacheMode::Auto);
+    let opts = &opts.reusing_journal();
     let fingerprint = opts.fingerprint(config_fingerprint(&SimConfig::table1()));
     let modes = [Mode::Training, Mode::Inference];
     let batch_of = |model: ModelId, mode: Mode| match mode {

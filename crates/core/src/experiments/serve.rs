@@ -257,13 +257,19 @@ fn assemble(
 }
 
 /// Runs the grid as a supervised sweep via [`run_cells`]: cells (one per
-/// network × scheme) run sharded across threads or fabric workers with
-/// panic quarantine, retries, resume and deterministic merge.
+/// network × scheme) run sharded across threads with panic quarantine,
+/// retries and deterministic merge. With a cache root in
+/// [`CacheMode::Auto`], cells the root's journal already holds restore
+/// instead of executing; [`CacheMode::Refresh`] recomputes every cell.
+///
+/// [`CacheMode::Auto`]: crate::sweep::CacheMode::Auto
+/// [`CacheMode::Refresh`]: crate::sweep::CacheMode::Refresh
 pub fn run_sweep(
     grid: &ServeGridSpec,
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<ServeResult>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "serve-sweep");
+    let opts = &opts.reusing_journal();
     let fingerprint = opts.fingerprint(config_fingerprint(&SimConfig::table1()));
     let items = grid.networks.len() * SCHEMES.len();
     let cell_of = |idx: usize| {
@@ -291,6 +297,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::CacheMode;
     use std::sync::OnceLock;
 
     /// A cheap real-simulator grid: ResNet-32 maps are tiny, so the
@@ -377,6 +384,36 @@ mod tests {
         assert_eq!(
             serde_json::to_string(reference).unwrap(),
             serde_json::to_string(&sweep.result).unwrap()
+        );
+    }
+
+    #[test]
+    fn cached_sweep_restores_every_cell_on_rerun() {
+        let root = std::env::temp_dir().join(format!("zserve-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let opts = SweepOpts::serial().with_cache(&root);
+        let cold = run_sweep(&tiny_grid(), &opts).expect("cold sweep");
+        let warm = run_sweep(&tiny_grid(), &opts).expect("warm sweep");
+        let refreshed = run_sweep(&tiny_grid(), &opts.clone().with_mode(CacheMode::Refresh))
+            .expect("refreshed sweep");
+        let _ = std::fs::remove_dir_all(&root);
+
+        let cells = tiny_grid().networks.len() * SCHEMES.len();
+        assert_eq!(cold.supervision.executed, cells);
+        assert_eq!(
+            (warm.supervision.executed, warm.supervision.resume_skips),
+            (0, cells)
+        );
+        assert_eq!(
+            serde_json::to_string(&warm.result).unwrap(),
+            serde_json::to_string(&cold.result).unwrap()
+        );
+        assert_eq!(
+            (
+                refreshed.supervision.executed,
+                refreshed.supervision.resume_skips
+            ),
+            (cells, 0)
         );
     }
 

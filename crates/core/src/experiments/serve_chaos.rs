@@ -502,14 +502,19 @@ fn assemble(
     }
 }
 
-/// Runs the grid as a supervised sweep via [`run_cells`]: panic
-/// quarantine, retries, `--resume` and the multi-process fabric all
-/// apply.
+/// Runs the grid as a supervised sweep via [`run_cells`], with panic
+/// quarantine and retries. With a cache root in [`CacheMode::Auto`],
+/// cells the root's journal already holds restore instead of executing;
+/// [`CacheMode::Refresh`] recomputes every cell.
+///
+/// [`CacheMode::Auto`]: crate::sweep::CacheMode::Auto
+/// [`CacheMode::Refresh`]: crate::sweep::CacheMode::Refresh
 pub fn run_sweep(
     grid: &ChaosGridSpec,
     opts: &SweepOpts,
 ) -> Result<SweepOutcome<ChaosResult>, SweepError> {
     let _span = zcomp_trace::tracer::span("experiment", "serve_chaos-sweep");
+    let opts = &opts.reusing_journal();
     let fingerprint = opts.fingerprint(config_fingerprint(&SimConfig::table1()));
     let key_of = |idx: usize| cell_key(grid, idx);
     let grid_for_jobs = grid.clone();
@@ -537,6 +542,7 @@ pub fn run_sweep(
 mod tests {
     use super::*;
     use crate::serve::knee::KneeOutcome;
+    use crate::sweep::CacheMode;
     use std::sync::OnceLock;
 
     /// A cheap real-simulator grid: ResNet-32 service sims run in
@@ -633,6 +639,34 @@ mod tests {
             run_sweep(&tiny_grid(), &SweepOpts::default().with_threads(2)).expect("sweep succeeds");
         crate::serve::determinism::require_byte_identical(reference, &sweep.result)
             .expect("sweep must match the serial run");
+    }
+
+    #[test]
+    fn cached_sweep_restores_every_cell_on_rerun() {
+        let root = std::env::temp_dir().join(format!("zchaos-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let opts = SweepOpts::serial().with_cache(&root);
+        let cold = run_sweep(&tiny_grid(), &opts).expect("cold sweep");
+        let warm = run_sweep(&tiny_grid(), &opts).expect("warm sweep");
+        let refreshed = run_sweep(&tiny_grid(), &opts.clone().with_mode(CacheMode::Refresh))
+            .expect("refreshed sweep");
+        let _ = std::fs::remove_dir_all(&root);
+
+        let cells = tiny_grid().cell_count();
+        assert_eq!(cold.supervision.executed, cells);
+        assert_eq!(
+            (warm.supervision.executed, warm.supervision.resume_skips),
+            (0, cells)
+        );
+        crate::serve::determinism::require_byte_identical(&cold.result, &warm.result)
+            .expect("a restored sweep must match the computed one");
+        assert_eq!(
+            (
+                refreshed.supervision.executed,
+                refreshed.supervision.resume_skips
+            ),
+            (cells, 0)
+        );
     }
 
     #[test]

@@ -30,8 +30,6 @@
 //! ```
 
 pub mod experiments;
-pub mod fabric;
-pub mod fleet;
 pub mod report;
 pub mod serve;
 pub mod supervise;

@@ -1,8 +1,8 @@
 //! Non-panicking byte-level determinism self-checks.
 //!
 //! Chaos sweeps lean hard on "same seed ⇒ byte-identical report": the
-//! supervised journal, the fabric merge and the `--resume` path all
-//! compare serialized cell payloads. The self-checks that guard this
+//! supervised journal and its restore path compare serialized cell
+//! payloads. The self-checks that guard this
 //! invariant (in tests, in `serve_run --smoke`, and anywhere a cell wants
 //! to double-run itself) used to be `serde_json::to_string(..).unwrap()`
 //! comparisons — a serialization failure would *panic*, and inside a

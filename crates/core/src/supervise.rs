@@ -223,42 +223,6 @@ impl<T> CellOutcome<T> {
     }
 }
 
-/// What a quarantine's journal payload starts with. No cell result type
-/// has a `Quarantined` field, so no completed value's JSON is mistaken
-/// for one.
-const QUARANTINED_TAG: &str = "{\"Quarantined\":";
-
-impl<T: Serialize> CellOutcome<T> {
-    /// The journal payload of this outcome: a completed value's own JSON
-    /// (stored once; attempts are not stored), or `{"Quarantined":<failure>}`.
-    pub fn to_payload(&self) -> String {
-        // The value-model serializer cannot fail.
-        let json = match self {
-            CellOutcome::Completed { value, .. } => serde_json::to_string(value),
-            CellOutcome::Quarantined(failure) => serde_json::to_string(failure)
-                .map(|failure| format!("{QUARANTINED_TAG}{failure}}}")),
-        };
-        json.expect("cell results serialize")
-    }
-}
-
-impl<T: Deserialize> CellOutcome<T> {
-    /// Decodes a [`CellOutcome::to_payload`] payload. A restored
-    /// completed cell reports 0 attempts: it did not execute here.
-    pub fn from_payload(payload: &str) -> Result<CellOutcome<T>, String> {
-        let failure = payload
-            .strip_prefix(QUARANTINED_TAG)
-            .and_then(|body| body.strip_suffix('}'))
-            .and_then(|body| serde_json::from_str(body).ok());
-        if let Some(failure) = failure {
-            return Ok(CellOutcome::Quarantined(failure));
-        }
-        serde_json::from_str(payload)
-            .map(|value| CellOutcome::Completed { value, attempts: 0 })
-            .map_err(|e| e.to_string())
-    }
-}
-
 /// Stringifies a panic payload (the `&str`/`String` cases cover every
 /// `panic!`/`assert!` in this workspace).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -333,14 +297,6 @@ where
             let delay = opts.backoff_delay(index, attempt - 1);
             zcomp_trace::tracer::instant("sweep", "supervise.retry");
             zcomp_trace::tracer::counter("supervise.retries", 1.0);
-            if zcomp_trace::events::armed() {
-                zcomp_trace::events::emit(zcomp_trace::events::FleetEvent::CellRetried {
-                    index: index as u64,
-                    cell: cell.to_string(),
-                    attempt: attempt - 1,
-                    reason: reason.to_string(),
-                });
-            }
             log_warn!(
                 "cell {index} [{cell}] failed ({reason}); retry {}/{} in {:.1} ms",
                 attempt - 1,
@@ -369,14 +325,6 @@ where
     };
     zcomp_trace::tracer::instant("sweep", "supervise.quarantine");
     zcomp_trace::tracer::counter("supervise.quarantined", 1.0);
-    if zcomp_trace::events::armed() {
-        zcomp_trace::events::emit(zcomp_trace::events::FleetEvent::CellQuarantined {
-            index: index as u64,
-            cell: cell.to_string(),
-            attempts: failure.attempts,
-            reason: failure.reason.to_string(),
-        });
-    }
     log_warn!("{failure}");
     CellOutcome::Quarantined(failure)
 }
@@ -386,9 +334,8 @@ where
 // ---------------------------------------------------------------------------
 
 /// One journal line: a completed cell keyed by its descriptor and the
-/// machine-config fingerprint, carrying the serialized cell result, the
-/// committing worker's identity and fencing token (both zero-valued for
-/// plain single-process sweeps), and a CRC32 over all of them.
+/// machine-config fingerprint, carrying the serialized cell result and a
+/// CRC32 over all three.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JournalRecord {
     /// Cell descriptor (the sweep's cell key).
@@ -397,80 +344,36 @@ pub struct JournalRecord {
     pub fingerprint: u32,
     /// The cell result as a JSON document.
     pub payload: String,
-    /// Id of the worker that committed the record (`""` outside fabric
-    /// runs).
-    pub worker: String,
-    /// Fencing token the committing worker held for this cell (`0`
-    /// outside fabric runs). The fabric merge keeps the highest token per
-    /// cell, so a zombie's stale duplicate never wins.
-    pub token: u64,
-    /// CRC32 over
-    /// `cell ‖ 0 ‖ fingerprint_le ‖ 0 ‖ worker ‖ 0 ‖ token_le ‖ 0 ‖ payload`.
+    /// CRC32 over `cell ‖ 0 ‖ fingerprint_le ‖ 0 ‖ payload`.
     pub crc: u32,
 }
 
 impl JournalRecord {
-    fn compute_crc(cell: &str, fingerprint: u32, worker: &str, token: u64, payload: &str) -> u32 {
-        let mut bytes = Vec::with_capacity(cell.len() + worker.len() + payload.len() + 16);
+    fn compute_crc(cell: &str, fingerprint: u32, payload: &str) -> u32 {
+        let mut bytes = Vec::with_capacity(cell.len() + payload.len() + 6);
         bytes.extend_from_slice(cell.as_bytes());
         bytes.push(0);
         bytes.extend_from_slice(&fingerprint.to_le_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(worker.as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&token.to_le_bytes());
         bytes.push(0);
         bytes.extend_from_slice(payload.as_bytes());
         crc32(&bytes)
     }
 
-    /// Builds a plain (unfenced) record with its CRC filled in.
+    /// Builds a record with its CRC filled in.
     pub fn new(cell: String, fingerprint: u32, payload: String) -> JournalRecord {
-        JournalRecord::new_fenced(cell, fingerprint, payload, String::new(), 0)
-    }
-
-    /// Builds a fenced record — a fabric worker's commit stamped with its
-    /// identity and fencing token — with its CRC filled in.
-    pub fn new_fenced(
-        cell: String,
-        fingerprint: u32,
-        payload: String,
-        worker: String,
-        token: u64,
-    ) -> JournalRecord {
-        let crc = JournalRecord::compute_crc(&cell, fingerprint, &worker, token, &payload);
+        let crc = JournalRecord::compute_crc(&cell, fingerprint, &payload);
         JournalRecord {
             cell,
             fingerprint,
             payload,
-            worker,
-            token,
             crc,
         }
     }
 
     /// Whether the stored CRC matches the record contents.
     pub fn verify(&self) -> bool {
-        JournalRecord::compute_crc(
-            &self.cell,
-            self.fingerprint,
-            &self.worker,
-            self.token,
-            &self.payload,
-        ) == self.crc
+        JournalRecord::compute_crc(&self.cell, self.fingerprint, &self.payload) == self.crc
     }
-}
-
-/// The verified value held for one journalled cell: the payload plus the
-/// provenance (worker, fencing token) it was committed under.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalEntry {
-    /// The cell result as a JSON document.
-    pub payload: String,
-    /// Committing worker id (`""` outside fabric runs).
-    pub worker: String,
-    /// Fencing token of the commit (`0` outside fabric runs).
-    pub token: u64,
 }
 
 /// Crash-safe sweep-completion journal: one JSONL file of
@@ -482,7 +385,7 @@ pub struct JournalEntry {
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    records: BTreeMap<(String, u32), JournalEntry>,
+    records: BTreeMap<(String, u32), String>,
 }
 
 impl Journal {
@@ -506,14 +409,7 @@ impl Journal {
             }
             match serde_json::from_str::<JournalRecord>(line) {
                 Ok(rec) if rec.verify() => {
-                    records.insert(
-                        (rec.cell, rec.fingerprint),
-                        JournalEntry {
-                            payload: rec.payload,
-                            worker: rec.worker,
-                            token: rec.token,
-                        },
-                    );
+                    records.insert((rec.cell, rec.fingerprint), rec.payload);
                 }
                 _ => dropped += 1,
             }
@@ -560,48 +456,15 @@ impl Journal {
 
     /// The payload journalled for `(cell, fingerprint)`, if any.
     pub fn lookup(&self, cell: &str, fingerprint: u32) -> Option<&str> {
-        self.entry(cell, fingerprint).map(|e| e.payload.as_str())
-    }
-
-    /// The full entry (payload plus worker/token provenance) journalled
-    /// for `(cell, fingerprint)`, if any.
-    pub fn entry(&self, cell: &str, fingerprint: u32) -> Option<&JournalEntry> {
-        self.records.get(&(cell.to_string(), fingerprint))
-    }
-
-    /// Iterates every verified record as `(cell, fingerprint, entry)`, in
-    /// key order. Fleet status tools use this to count done/quarantined
-    /// cells without knowing the sweep grid.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u32, &JournalEntry)> {
         self.records
-            .iter()
-            .map(|((cell, fp), entry)| (cell.as_str(), *fp, entry))
+            .get(&(cell.to_string(), fingerprint))
+            .map(String::as_str)
     }
 
     /// Records a completed cell and persists the journal atomically
     /// (write everything to `<path>.tmp`, rename over `<path>`).
     pub fn commit(&mut self, cell: String, fingerprint: u32, payload: String) -> io::Result<()> {
-        self.commit_fenced(cell, fingerprint, payload, String::new(), 0)
-    }
-
-    /// Records a completed cell with fabric provenance (worker id and
-    /// fencing token) and persists the journal atomically.
-    pub fn commit_fenced(
-        &mut self,
-        cell: String,
-        fingerprint: u32,
-        payload: String,
-        worker: String,
-        token: u64,
-    ) -> io::Result<()> {
-        self.records.insert(
-            (cell, fingerprint),
-            JournalEntry {
-                payload,
-                worker,
-                token,
-            },
-        );
+        self.records.insert((cell, fingerprint), payload);
         self.persist()
     }
 
@@ -612,14 +475,8 @@ impl Journal {
             }
         }
         let mut text = String::new();
-        for ((cell, fingerprint), entry) in &self.records {
-            let rec = JournalRecord::new_fenced(
-                cell.clone(),
-                *fingerprint,
-                entry.payload.clone(),
-                entry.worker.clone(),
-                entry.token,
-            );
+        for ((cell, fingerprint), payload) in &self.records {
+            let rec = JournalRecord::new(cell.clone(), *fingerprint, payload.clone());
             text.push_str(&serde_json::to_string(&rec).map_err(io::Error::other)?);
             text.push('\n');
         }
@@ -783,8 +640,6 @@ mod tests {
             cell: "forged".into(),
             fingerprint: 1,
             payload: "{}".into(),
-            worker: String::new(),
-            token: 0,
             crc: 0xDEAD_BEEF,
         };
         text.push_str(&serde_json::to_string(&forged).unwrap());
@@ -800,39 +655,6 @@ mod tests {
     }
 
     #[test]
-    fn fenced_commits_round_trip_worker_and_token() {
-        let path = std::env::temp_dir().join(format!("zj-fenced-{}.jsonl", std::process::id()));
-        let _ = fs::remove_file(&path);
-        let mut j = Journal::load(&path).unwrap();
-        j.commit_fenced("cell".into(), 3, "{\"x\":1}".into(), "w-a".into(), 2)
-            .unwrap();
-        let j = Journal::load(&path).unwrap();
-        let entry = j.entry("cell", 3).expect("fenced entry resumes");
-        assert_eq!(entry.payload, "{\"x\":1}");
-        assert_eq!(entry.worker, "w-a");
-        assert_eq!(entry.token, 2);
-        // Plain commits carry the zero provenance.
-        let mut j = Journal::load(&path).unwrap();
-        j.commit("plain".into(), 3, "{}".into()).unwrap();
-        let j = Journal::load(&path).unwrap();
-        let plain = j.entry("plain", 3).unwrap();
-        assert_eq!((plain.worker.as_str(), plain.token), ("", 0));
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tampered_token_fails_verification() {
-        let rec = JournalRecord::new_fenced("c".into(), 1, "{}".into(), "w".into(), 5);
-        assert!(rec.verify());
-        let mut bad = rec.clone();
-        bad.token = 6;
-        assert!(!bad.verify(), "a forged fencing token must not verify");
-        let mut bad = rec;
-        bad.worker = "z".into();
-        assert!(!bad.verify(), "a forged worker id must not verify");
-    }
-
-    #[test]
     fn commit_is_atomic_no_tmp_left_behind() {
         let dir = std::env::temp_dir().join(format!("zj-atomic-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -844,41 +666,6 @@ mod tests {
         tmp.push(".tmp");
         assert!(!PathBuf::from(tmp).exists());
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn payload_round_trips_both_arms_and_restores_with_zero_attempts() {
-        let done: CellOutcome<Vec<f64>> = CellOutcome::Completed {
-            value: vec![1.5, 0.1],
-            attempts: 2,
-        };
-        let payload = done.to_payload();
-        assert_eq!(
-            payload, "[1.5,0.1]",
-            "the value is stored once, as its JSON"
-        );
-        assert_eq!(
-            CellOutcome::from_payload(&payload),
-            Ok(CellOutcome::Completed {
-                value: vec![1.5, 0.1],
-                attempts: 0
-            })
-        );
-        let failure = CellFailure {
-            index: 3,
-            cell: "cell-x".into(),
-            attempts: 1,
-            reason: FailureReason::Panicked {
-                message: "boom".into(),
-            },
-        };
-        let quarantined: CellOutcome<u64> = CellOutcome::Quarantined(failure);
-        assert_eq!(
-            CellOutcome::from_payload(&quarantined.to_payload()),
-            Ok(quarantined)
-        );
-        assert!(CellOutcome::<u64>::from_payload("\"x\"").is_err());
-        assert!(CellOutcome::<u64>::from_payload("{\"Quarantined\":1}").is_err());
     }
 
     #[test]

@@ -20,24 +20,23 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
 use zcomp_trace::hash::Fnv1a64;
 use zcomp_trace::log_warn;
 
-use crate::fabric::{FabricOpts, FabricReport, Member};
-use crate::supervise::{run_cell, CellFailure, CellOutcome, Journal, JournalEntry, SuperviseOpts};
+use crate::supervise::{run_cell, CellFailure, CellOutcome, Journal, SuperviseOpts};
 
 /// A sweep-level failure detected *before* any cell runs (as opposed to
-/// per-cell failures, which are quarantined, not raised), or a drain.
+/// per-cell failures, which are quarantined, not raised).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SweepError {
     /// The directory the sweep journals to (the experiment's directory
-    /// under the cache root, or under the fabric directory) cannot be
-    /// created or written. Surfaced at sweep start so a bad `--traces` or
-    /// `--fabric-dir` path fails in milliseconds, not per cell over hours.
+    /// under the cache root) cannot be created or written. Surfaced at
+    /// sweep start so a bad `--traces` path fails in milliseconds, not per
+    /// cell over hours.
     JournalDir {
         /// The offending directory.
         dir: PathBuf,
@@ -50,15 +49,6 @@ pub enum SweepError {
         path: PathBuf,
         /// The underlying I/O error.
         source: std::io::Error,
-    },
-    /// A graceful drain (SIGTERM/SIGINT) stopped this fabric worker
-    /// before every cell was journalled. Completed cells are safely
-    /// committed; re-running the same fabric resumes from them.
-    FabricDrained {
-        /// Cells this worker saw complete when it stopped.
-        completed: usize,
-        /// Total cells in the sweep.
-        total: usize,
     },
 }
 
@@ -79,13 +69,6 @@ impl std::fmt::Display for SweepError {
                     path.display()
                 )
             }
-            SweepError::FabricDrained { completed, total } => {
-                write!(
-                    f,
-                    "fabric worker drained after {completed}/{total} cells; \
-                     re-run with the same fabric dir to resume"
-                )
-            }
         }
     }
 }
@@ -96,7 +79,6 @@ impl std::error::Error for SweepError {
             SweepError::JournalDir { source, .. } | SweepError::Journal { source, .. } => {
                 Some(source)
             }
-            SweepError::FabricDrained { .. } => None,
         }
     }
 }
@@ -118,21 +100,17 @@ pub struct SweepOpts {
     /// Cache root hosting the per-experiment completion journals; `None`
     /// keeps no journal and every cell executes.
     pub cache_root: Option<PathBuf>,
-    /// Journal policy of the Fig. 12 and full-network sweeps (reuse
-    /// journalled cells vs recompute).
+    /// Journal policy of the cached sweeps (Fig. 12, full-network, serve
+    /// and serve-chaos): reuse journalled cells vs recompute.
     pub cache_mode: CacheMode,
     /// Per-cell supervision policy (attempts, deadline, backoff).
     pub supervise: SuperviseOpts,
     /// Start from the cache root's journal instead of a fresh one,
     /// restoring the cells it records as complete. Ignored without a
-    /// cache root and on a fabric, whose journals always load. The
-    /// Fig. 12 and full-network sweeps derive it from `cache_mode`.
-    pub resume: bool,
-    /// Multi-process fabric participation: when set, [`run_cells`] joins
-    /// the lease-based work queue under
-    /// [`FabricOpts::dir`](crate::fabric::FabricOpts) as one cooperating
-    /// worker instead of executing every cell itself.
-    pub fabric: Option<FabricOpts>,
+    /// cache root. Every experiment's `run_sweep` derives it from
+    /// `cache_mode`; only direct [`run_cells`] callers set it, through
+    /// [`SweepOpts::with_resume`].
+    pub(crate) resume: bool,
 }
 
 impl Default for SweepOpts {
@@ -143,14 +121,13 @@ impl Default for SweepOpts {
             cache_mode: CacheMode::Auto,
             supervise: SuperviseOpts::default(),
             resume: false,
-            fabric: None,
         }
     }
 }
 
 impl SweepOpts {
     /// Serial, uncached execution: every cell runs on the calling thread,
-    /// with no journal and no fabric, so the sweep cannot return a
+    /// with no journal, so the sweep cannot return a
     /// [`SweepError`].
     pub fn serial() -> Self {
         SweepOpts {
@@ -183,26 +160,29 @@ impl SweepOpts {
         self
     }
 
-    /// Starts from (or ignores) the journal on disk.
+    /// Starts from (or ignores) the journal on disk. Only a direct
+    /// [`run_cells`] call honours it: the experiments' `run_sweep`s
+    /// override it from `cache_mode`.
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
         self
     }
 
-    /// Joins the multi-process fabric rooted at `fabric.dir`.
-    pub fn with_fabric(mut self, fabric: FabricOpts) -> Self {
-        self.fabric = Some(fabric);
-        self
+    /// The options every experiment's `run_sweep` runs with: a cached
+    /// sweep reuses its journal, and only
+    /// [`CacheMode::Refresh`] starts fresh and recomputes every cell.
+    pub(crate) fn reusing_journal(&self) -> Self {
+        self.clone().with_resume(self.cache_mode == CacheMode::Auto)
     }
 
     /// The fingerprint an experiment passes to [`run_cells`]: its own
     /// `config` fingerprint, with a model identity (a hash identifying
-    /// the running executable) folded in whenever a journal is in use (a
-    /// cache root or a fabric). A journal record
-    /// therefore only restores in a process running the same executable
-    /// that wrote it — a rebuilt simulator never inherits old results.
+    /// the running executable) folded in whenever a cache root keeps a
+    /// journal. A journal record therefore only restores in a process
+    /// running the same executable that wrote it — a rebuilt simulator
+    /// never inherits old results.
     pub fn fingerprint(&self, config: u32) -> u32 {
-        if self.cache_root.is_none() && self.fabric.is_none() {
+        if self.cache_root.is_none() {
             return config;
         }
         fold_identity(config, model_identity())
@@ -268,27 +248,19 @@ pub struct SupervisionReport {
     pub retries: u64,
     /// Cells that exhausted their attempt budget, in index order.
     pub quarantined: Vec<CellFailure>,
-    /// What this process observed as a fabric worker (`None` outside
-    /// fabric runs).
-    pub fabric: Option<FabricReport>,
 }
 
 impl SupervisionReport {
     /// One-line human summary (for binaries' stderr).
     pub fn summary(&self) -> String {
-        let mut text = format!(
+        format!(
             "{} cells: {} executed, {} resumed, {} retries, {} quarantined",
             self.cells,
             self.executed,
             self.resume_skips,
             self.retries,
             self.quarantined.len()
-        );
-        if let Some(fabric) = &self.fabric {
-            text.push_str("; ");
-            text.push_str(&fabric.summary());
-        }
-        text
+        )
     }
 }
 
@@ -311,19 +283,16 @@ pub struct CellsRun<T> {
     pub report: SupervisionReport,
 }
 
-/// Runs `items` supervised cells, sharded over `opts.threads`, in one
-/// loop: open the journal view, restore every cell it holds, run the rest
-/// through [`run_sharded`] and [`run_cell`], commit each result, repeat
-/// until every cell has an outcome, and report.
+/// Runs `items` supervised cells, sharded over `opts.threads`: open the
+/// journal, restore every cell it holds, run the rest through
+/// [`run_sharded`] and [`run_cell`], commit each completed result, and
+/// report.
 ///
-/// The journal view is empty without a cache root or fabric; the cache
-/// root's journal for a local run (started fresh unless `opts.resume`);
-/// or, with [`SweepOpts::fabric`], the merged per-worker journals of the
-/// fabric, which this call joins as one cooperating worker (see
-/// [`fabric`](crate::fabric)). A local run journals completed cells
-/// only: quarantined cells are not journalled, so the next run retries
-/// them. A fabric worker journals quarantines too, so peers restore them
-/// instead of re-running a poisoned cell.
+/// Without a cache root there is no journal and every cell executes.
+/// With one, the experiment's journal under the root starts fresh unless
+/// `opts.resume` is set, in which case the cells it records as complete
+/// restore instead of executing. Only completed cells are journalled:
+/// quarantined cells are not, so the next run retries them.
 ///
 /// `key_of(i)` names cell `i`; with `fingerprint` (see
 /// [`SweepOpts::fingerprint`]) it keys the journal record.
@@ -333,7 +302,7 @@ pub struct CellsRun<T> {
 /// Determinism: outcomes come back in index order; restored cells decode
 /// the exact value the original execution committed (with 0 attempts), so
 /// a restored sweep merges to the identical result an uninterrupted run
-/// produces, whatever the worker count or crash history.
+/// produces, whatever the thread count or crash history.
 pub fn run_cells<T, K, J>(
     experiment: &str,
     items: usize,
@@ -349,114 +318,63 @@ where
 {
     let keys: Vec<String> = (0..items).map(key_of).collect();
     let journal = open_journal(experiment, opts)?;
-    let member = match &opts.fabric {
-        Some(fabric) => Some(Member::join(fabric, experiment, &keys, fingerprint)?),
-        None => None,
-    };
     let mut outcomes: Vec<Option<CellOutcome<T>>> = (0..items).map(|_| None).collect();
     let mut report = SupervisionReport {
         cells: items,
         ..SupervisionReport::default()
     };
-    let mut drained = false;
-    loop {
-        // Restore every pending cell the journal view holds.
-        let view: Vec<Option<JournalEntry>> = match (&member, &journal) {
-            (Some(member), _) => member.view(&keys)?,
-            (None, Some(journal)) => {
-                let journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-                let held = keys
-                    .iter()
-                    .zip(&outcomes)
-                    .map(|(key, outcome)| match outcome {
-                        None => journal.entry(key, fingerprint).cloned(),
-                        Some(_) => None,
-                    });
-                held.collect()
-            }
-            (None, None) => Vec::new(),
-        };
-        for (index, entry) in view.into_iter().enumerate() {
-            let Some(entry) = entry.filter(|_| outcomes[index].is_none()) else {
+
+    // Restore every cell the journal holds.
+    if let Some(journal) = &journal {
+        let journal = journal.lock().unwrap_or_else(|p| p.into_inner());
+        for (index, key) in keys.iter().enumerate() {
+            let Some(payload) = journal.lookup(key, fingerprint) else {
                 continue;
             };
-            match CellOutcome::from_payload(&entry.payload) {
-                Ok(outcome) => {
-                    outcomes[index] = Some(outcome);
+            // A record holds a completed value's own JSON. A restored cell
+            // reports 0 attempts: it did not execute here.
+            match serde_json::from_str(payload) {
+                Ok(value) => {
+                    outcomes[index] = Some(CellOutcome::Completed { value, attempts: 0 });
                     report.resume_skips += 1;
                 }
                 Err(e) => log_warn!(
-                    "journal payload for cell {index} [{}] does not decode ({e}); re-running",
-                    keys[index]
+                    "journal payload for cell {index} [{key}] does not decode ({e}); re-running"
                 ),
             }
         }
-        let todo: Vec<usize> = (0..items).filter(|&i| outcomes[i].is_none()).collect();
-        if todo.is_empty() {
-            break;
-        }
-        if member.is_some() && crate::fabric::drain_requested() {
-            drained = true;
-            break;
-        }
-
-        // Run the rest, committing each result as it completes.
-        let ran = run_sharded(todo.len(), opts.threads, |j| {
-            let (index, key) = (todo[j], &keys[todo[j]]);
-            let claim = match &member {
-                Some(member) => Some((member, member.claim(index, key)?)),
-                None => None,
-            };
-            let started = Instant::now();
-            let outcome = run_cell(&opts.supervise, index, key, || make_job(index));
-            let Some(journal) = &journal else {
-                return Some(outcome);
-            };
-            if let Some((member, lease)) = claim {
-                let elapsed = started.elapsed();
-                return member
-                    .commit(index, key, &lease, &outcome, elapsed, journal)
-                    .then_some(outcome);
-            }
-            // Locally only completed cells are journalled.
-            if outcome.value().is_some() {
-                let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
-                if let Err(e) = journal.commit(key.clone(), fingerprint, outcome.to_payload()) {
-                    // The journal is an aid, not a dependency: losing a
-                    // record only costs re-execution.
-                    log_warn!(
-                        "journal commit for cell {index} [{key}] failed ({e}); \
-                         continuing unjournalled"
-                    );
-                }
-            }
-            Some(outcome)
-        });
-        let mut progressed = false;
-        for (j, outcome) in ran.into_iter().enumerate() {
-            if let Some(outcome) = outcome {
-                report.executed += 1;
-                report.retries += outcome.retries();
-                outcomes[todo[j]] = Some(outcome);
-                progressed = true;
-            }
-        }
-        if let (false, Some(member)) = (progressed, &member) {
-            member.idle();
-        }
     }
 
-    report.fabric = member.map(|member| member.leave(drained));
-    let outcomes: Vec<CellOutcome<T>> = outcomes.into_iter().flatten().collect();
-    if drained {
-        return Err(SweepError::FabricDrained {
-            completed: outcomes.len(),
-            total: items,
-        });
+    // Run the rest, committing each completed result as it lands.
+    let todo: Vec<usize> = (0..items).filter(|&i| outcomes[i].is_none()).collect();
+    let ran = run_sharded(todo.len(), opts.threads, |j| {
+        let (index, key) = (todo[j], &keys[todo[j]]);
+        let outcome = run_cell(&opts.supervise, index, key, || make_job(index));
+        if let (Some(journal), Some(value)) = (&journal, outcome.value()) {
+            // The value-model serializer cannot fail.
+            let payload = serde_json::to_string(value).expect("cell results serialize");
+            let mut journal = journal.lock().unwrap_or_else(|p| p.into_inner());
+            if let Err(e) = journal.commit(key.clone(), fingerprint, payload) {
+                // The journal is an aid, not a dependency: losing a
+                // record only costs re-execution.
+                log_warn!(
+                    "journal commit for cell {index} [{key}] failed ({e}); \
+                     continuing unjournalled"
+                );
+            }
+        }
+        outcome
+    });
+    for (index, outcome) in todo.into_iter().zip(ran) {
+        report.executed += 1;
+        report.retries += outcome.retries();
+        outcomes[index] = Some(outcome);
     }
+
     if report.resume_skips > 0 {
         zcomp_trace::tracer::counter("supervise.resume_skips", report.resume_skips as f64);
     }
+    let outcomes: Vec<CellOutcome<T>> = outcomes.into_iter().flatten().collect();
     report.quarantined = outcomes
         .iter()
         .filter_map(|outcome| match outcome {
@@ -467,17 +385,15 @@ where
     Ok(CellsRun { outcomes, report })
 }
 
-/// Opens the journal this process commits to: its own file in the fabric
-/// directory (always loaded, so a revived worker sees its pre-crash
-/// commits), or the cache root's (fresh unless `opts.resume`). The
-/// directory is created and write-probed first, so an unusable one is a
-/// typed [`SweepError::JournalDir`] at sweep start.
+/// Opens the cache root's journal for `experiment` (fresh unless
+/// `opts.resume`); `None` without a cache root. The directory is created
+/// and write-probed first, so an unusable one is a typed
+/// [`SweepError::JournalDir`] at sweep start.
 fn open_journal(experiment: &str, opts: &SweepOpts) -> Result<Option<Mutex<Journal>>, SweepError> {
-    let (dir, file, load) = match (&opts.fabric, &opts.cache_root) {
-        (Some(fabric), _) => (fabric.dir.join(experiment), fabric.journal_file(), true),
-        (None, Some(root)) => (root.join(experiment), "journal.jsonl".into(), opts.resume),
-        (None, None) => return Ok(None),
+    let Some(root) = &opts.cache_root else {
+        return Ok(None);
     };
+    let dir = root.join(experiment);
     let probe = dir.join(format!(".write-probe-{}", std::process::id()));
     std::fs::create_dir_all(&dir)
         .and_then(|()| std::fs::write(&probe, b"zcomp"))
@@ -486,8 +402,8 @@ fn open_journal(experiment: &str, opts: &SweepOpts) -> Result<Option<Mutex<Journ
             dir: dir.clone(),
             source,
         })?;
-    let path = dir.join(file);
-    let journal = if load {
+    let path = dir.join("journal.jsonl");
+    let journal = if opts.resume {
         Journal::load(&path).map_err(|source| SweepError::Journal {
             path: path.clone(),
             source,
@@ -589,23 +505,6 @@ mod tests {
         std::env::temp_dir().join(format!("zsweep-{}-{name}", std::process::id()))
     }
 
-    fn job(i: usize) -> Box<dyn FnOnce() -> u64 + Send + 'static> {
-        Box::new(move || i as u64)
-    }
-
-    /// Runs two cells under `opts` and expects a typed unusable-directory
-    /// error naming `dir`.
-    fn assert_unusable(opts: &SweepOpts, dir: &std::path::Path) {
-        let err = run_cells("unit", 2, 7, opts, |i| format!("c{i}"), job)
-            .expect_err("a directory under a file must fail at start");
-        match &err {
-            SweepError::JournalDir { dir: bad, .. } => assert!(bad.starts_with(dir)),
-            other => panic!("expected JournalDir, got {other}"),
-        }
-        assert!(err.to_string().contains("unusable"), "got: {err}");
-        assert!(std::error::Error::source(&err).is_some());
-    }
-
     #[test]
     fn unwritable_cache_root_is_a_typed_error_at_start() {
         // A root whose parent is a *file* cannot be created.
@@ -613,24 +512,17 @@ mod tests {
         let _ = std::fs::remove_file(&blocker);
         std::fs::write(&blocker, b"file").unwrap();
         let root = blocker.join("nested");
-        assert_unusable(&SweepOpts::serial().with_cache(&root), &root);
-        let _ = std::fs::remove_file(&blocker);
-    }
-
-    #[test]
-    fn unwritable_fabric_dir_is_a_typed_error_at_start() {
-        let blocker = temp_root("fabric-blocker");
-        let _ = std::fs::remove_file(&blocker);
-        std::fs::write(&blocker, b"file").unwrap();
-        let dir = blocker.join("fabric");
-        // The cache root is usable but unused: only the fabric dir, where
-        // a fabric worker journals, is probed.
-        let root = temp_root("fabric-unused-root");
-        let opts = SweepOpts::serial()
-            .with_cache(&root)
-            .with_fabric(FabricOpts::new(&dir));
-        assert_unusable(&opts, &dir);
-        assert!(!root.exists(), "a fabric run does not touch the cache root");
+        let opts = SweepOpts::serial().with_cache(&root);
+        let job =
+            |i: usize| -> Box<dyn FnOnce() -> u64 + Send + 'static> { Box::new(move || i as u64) };
+        let err = run_cells("unit", 2, 7, &opts, |i| format!("c{i}"), job)
+            .expect_err("a directory under a file must fail at start");
+        match &err {
+            SweepError::JournalDir { dir, .. } => assert!(dir.starts_with(&root)),
+            other => panic!("expected JournalDir, got {other}"),
+        }
+        assert!(err.to_string().contains("unusable"), "got: {err}");
+        assert!(std::error::Error::source(&err).is_some());
         let _ = std::fs::remove_file(&blocker);
     }
 
@@ -672,6 +564,34 @@ mod tests {
         assert!(run.report.quarantined.is_empty());
         let values: Vec<u64> = run.outcomes.iter().map(|o| *o.value().unwrap()).collect();
         assert_eq!(values, vec![0, 10, 20, 30]);
+        for (i, outcome) in run.outcomes.iter().enumerate() {
+            let CellOutcome::Completed { attempts, .. } = outcome else {
+                panic!("cell {i} must complete: {outcome:?}");
+            };
+            assert_eq!(
+                *attempts,
+                u32::from(i == 2),
+                "cell {i}: restored cells report 0"
+            );
+        }
+
+        // A record holds the completed value's own JSON.
+        let path = root.join("unit").join("journal.jsonl");
+        let mut journal = Journal::load(&path).unwrap();
+        assert_eq!(journal.lookup("cell-1", 7), Some("10"));
+
+        // A verified record whose payload does not decode re-runs its cell.
+        journal.commit("cell-1".into(), 7, "\"x\"".into()).unwrap();
+        let run = run_cells("unit", 4, 7, &opts, key_of, job).unwrap();
+        assert_eq!(run.report.resume_skips, 3);
+        assert_eq!(run.report.executed, 1);
+        assert_eq!(run.outcomes[1].value(), Some(&10));
+        let healed = Journal::load(&path).unwrap();
+        assert_eq!(
+            healed.lookup("cell-1", 7),
+            Some("10"),
+            "the re-run heals it"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -175,91 +175,4 @@ proptest! {
         }
         prop_assert!(!bad.verify(), "perturbed record must fail verification");
     }
-
-    /// Fenced (fabric) records fold the worker id and fencing token into
-    /// the CRC: both round-trip exactly, and perturbing either — the
-    /// zombie-forgery surface — fails verification.
-    #[test]
-    fn fenced_record_crc_covers_worker_and_token(
-        seed in 0u64..u64::MAX,
-        fingerprint in 0u32..u32::MAX,
-        token in 0u64..u64::MAX,
-        which in 0usize..2,
-    ) {
-        let worker = format!("w-{:x}", seed & 0xFFFF);
-        let rec = JournalRecord::new_fenced(
-            format!("cell-{seed:#x}"),
-            fingerprint,
-            format!("{{\"v\":{seed}}}"),
-            worker.clone(),
-            token,
-        );
-        prop_assert!(rec.verify(), "fresh fenced record must verify");
-        let mut bad = rec.clone();
-        match which {
-            0 => bad.worker.push('x'),
-            _ => bad.token = bad.token.wrapping_add(1),
-        }
-        prop_assert!(!bad.verify(), "perturbed fenced record must fail verification");
-    }
-
-    /// Fenced commits round-trip the worker and token through disk, and a
-    /// journal whose FINAL line is truncated mid-record (the exact shape a
-    /// SIGKILLed fabric worker leaves behind) still loads every earlier
-    /// cell — with its fencing metadata intact — and heals on the next
-    /// fenced commit.
-    #[test]
-    fn truncated_final_fenced_record_keeps_the_prefix_and_heals(
-        seeds in pvec(0u64..u64::MAX, 2..10),
-        tokens in pvec(1u64..1000, 2..10),
-        drop_bytes in 1usize..40,
-    ) {
-        let path = case_path("fenced-tail");
-        let fingerprint = 11;
-        let mut journal = Journal::fresh(&path);
-        let n = seeds.len().min(tokens.len());
-        let mut committed = Vec::with_capacity(n);
-        for i in 0..n {
-            let cell = format!("cell-{i}");
-            let payload = format!("{{\"v\":{}}}", seeds[i]);
-            let worker = format!("w{}", i % 3);
-            journal
-                .commit_fenced(cell.clone(), fingerprint, payload.clone(), worker.clone(), tokens[i])
-                .expect("fenced commit");
-            committed.push((cell, payload, worker, tokens[i]));
-        }
-
-        // Tear the final record: drop 1..40 bytes off the end of the file
-        // (always severing the last line, never an earlier one).
-        let bytes = std::fs::read(&path).expect("read journal");
-        let last_line_start = bytes[..bytes.len() - 1]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |p| p + 1);
-        let cut = (bytes.len() - drop_bytes).max(last_line_start + 1);
-        std::fs::write(&path, &bytes[..cut]).expect("truncate");
-
-        let reloaded = Journal::load(&path).expect("reload");
-        prop_assert_eq!(reloaded.len(), n - 1, "exactly the torn tail is lost");
-        for (cell, payload, worker, token) in &committed[..n - 1] {
-            let entry = reloaded.entry(cell, fingerprint).expect("prefix cell resumes");
-            prop_assert_eq!(&entry.payload, payload);
-            prop_assert_eq!(&entry.worker, worker);
-            prop_assert_eq!(entry.token, *token);
-        }
-        prop_assert!(reloaded.entry(&committed[n - 1].0, fingerprint).is_none());
-
-        // Healing: re-committing the torn cell rewrites the file whole.
-        let (cell, payload, worker, token) = committed[n - 1].clone();
-        let mut healing = reloaded;
-        healing
-            .commit_fenced(cell.clone(), fingerprint, payload.clone(), worker, token)
-            .expect("healing fenced commit");
-        let healed = Journal::load(&path).expect("reload healed");
-        prop_assert_eq!(healed.len(), n);
-        let entry = healed.entry(&cell, fingerprint).expect("healed cell resumes");
-        prop_assert_eq!(&entry.payload, &payload);
-        prop_assert_eq!(entry.token, token);
-        let _ = std::fs::remove_file(&path);
-    }
 }

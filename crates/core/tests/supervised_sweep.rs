@@ -139,10 +139,7 @@ fn sweep_with_panicking_and_hung_cells_completes_with_them_quarantined() {
         "acceptance",
         10,
         0xBEEF,
-        &SweepOpts {
-            resume: true,
-            ..opts.clone()
-        },
+        &opts.clone().with_resume(true),
         |i| format!("cell-{i}"),
         |i| {
             Box::new(move || {

@@ -15,15 +15,14 @@ use crate::tracer::{Event, EventKind};
 /// The process id recorded on every event (the simulator is one process).
 const PID: i128 = 1;
 
-/// Builds one trace row for an event, shifted by `offset_us` and tagged
-/// with `pid`.
-fn event_row(e: &Event, pid: i128, offset_us: u64) -> Value {
+/// Builds one trace row for an event.
+fn event_row(e: &Event) -> Value {
     let mut row = Value::new_object();
     row.push_field("name", Value::Str(e.name.clone()));
     row.push_field("cat", Value::Str(e.cat.to_string()));
     row.push_field("ph", Value::Str(e.kind.phase().to_string()));
-    row.push_field("ts", Value::Int((e.ts_us + offset_us) as i128));
-    row.push_field("pid", Value::Int(pid));
+    row.push_field("ts", Value::Int(e.ts_us as i128));
+    row.push_field("pid", Value::Int(PID));
     row.push_field("tid", Value::Int(e.tid as i128));
     match e.kind {
         EventKind::Counter => {
@@ -38,99 +37,15 @@ fn event_row(e: &Event, pid: i128, offset_us: u64) -> Value {
     row
 }
 
-fn finish(rows: Vec<Value>) -> String {
-    let mut root = Value::new_object();
-    root.push_field("traceEvents", Value::Array(rows));
-    root.push_field("displayTimeUnit", Value::Str("ms".to_string()));
-    serde_json::to_string(&root).expect("trace value serializes")
-}
-
 /// Renders events as a Chrome trace JSON object (compact, one line).
 pub fn export(events: &[Event]) -> String {
-    finish(events.iter().map(|e| event_row(e, PID, 0)).collect())
-}
-
-/// An async span — Chrome `ph:"b"`/`ph:"e"` pair matched by `(cat, id)`
-/// rather than by stack nesting, which is how cross-thread work like a
-/// lease lifecycle (claimed on one beat, committed later, possibly
-/// overlapping other cells) renders on a timeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsyncSpan {
-    /// Match key (unique per open span within a category).
-    pub id: u64,
-    /// Category, the other half of the match key.
-    pub cat: String,
-    /// Display name.
-    pub name: String,
-    /// Span start, microseconds on the part's local clock.
-    pub begin_us: u64,
-    /// Span end; clamped up to `begin_us` if earlier.
-    pub end_us: u64,
-}
-
-/// One worker's contribution to a merged multi-process trace.
-#[derive(Debug, Clone, Default)]
-pub struct TracePart {
-    /// Process id in the merged timeline (one per worker).
-    pub pid: i128,
-    /// Human-readable process label (rendered via `process_name`
-    /// metadata).
-    pub label: String,
-    /// Added to every local timestamp to align this part's clock with
-    /// the merged timeline (typically `part_epoch_us - min_epoch_us`
-    /// across parts).
-    pub clock_offset_us: u64,
-    /// Regular events on this part's local clock.
-    pub events: Vec<Event>,
-    /// Async spans on this part's local clock.
-    pub async_spans: Vec<AsyncSpan>,
-}
-
-/// Merges per-worker timelines into one Chrome trace: each part becomes
-/// a process (named by `process_name` metadata), timestamps are shifted
-/// by the part's clock offset, async spans render as `b`/`e` pairs, and
-/// all timed rows are sorted into one globally non-decreasing sequence.
-pub fn export_merged(parts: &[TracePart]) -> String {
-    let mut rows = Vec::new();
-    let mut timed: Vec<(u64, Value)> = Vec::new();
-    for part in parts {
-        let mut meta = Value::new_object();
-        meta.push_field("name", Value::Str("process_name".to_string()));
-        meta.push_field("ph", Value::Str("M".to_string()));
-        meta.push_field("ts", Value::Int(0));
-        meta.push_field("pid", Value::Int(part.pid));
-        meta.push_field("tid", Value::Int(0));
-        let mut args = Value::new_object();
-        args.push_field("name", Value::Str(part.label.clone()));
-        meta.push_field("args", args);
-        rows.push(meta);
-        for e in &part.events {
-            timed.push((
-                e.ts_us + part.clock_offset_us,
-                event_row(e, part.pid, part.clock_offset_us),
-            ));
-        }
-        for span in &part.async_spans {
-            let begin = span.begin_us + part.clock_offset_us;
-            let end = span.end_us.max(span.begin_us) + part.clock_offset_us;
-            for (ph, ts) in [("b", begin), ("e", end)] {
-                let mut row = Value::new_object();
-                row.push_field("name", Value::Str(span.name.clone()));
-                row.push_field("cat", Value::Str(span.cat.clone()));
-                row.push_field("ph", Value::Str(ph.to_string()));
-                row.push_field("id", Value::Int(span.id as i128));
-                row.push_field("ts", Value::Int(ts as i128));
-                row.push_field("pid", Value::Int(part.pid));
-                row.push_field("tid", Value::Int(0));
-                timed.push((ts, row));
-            }
-        }
-    }
-    // Stable sort: rows at equal timestamps keep emission order, which
-    // puts a span's `b` before its `e` even when it is zero-width.
-    timed.sort_by_key(|(ts, _)| *ts);
-    rows.extend(timed.into_iter().map(|(_, row)| row));
-    finish(rows)
+    let mut root = Value::new_object();
+    root.push_field(
+        "traceEvents",
+        Value::Array(events.iter().map(event_row).collect()),
+    );
+    root.push_field("displayTimeUnit", Value::Str("ms".to_string()));
+    serde_json::to_string(&root).expect("trace value serializes")
 }
 
 /// Tallies from a validated trace.
@@ -144,12 +59,6 @@ pub struct TraceCheck {
     pub counters: usize,
     /// Instant events.
     pub instants: usize,
-    /// Completed async (`b`/`e`) span pairs.
-    pub async_spans: usize,
-    /// Metadata (`M`) events.
-    pub metadata: usize,
-    /// Distinct process ids seen on non-metadata events.
-    pub pids: usize,
     /// Largest timestamp seen (microseconds).
     pub max_ts_us: u64,
 }
@@ -183,11 +92,8 @@ fn int_field(ev: &Value, name: &str, idx: usize) -> Result<i128, String> {
 
 /// Parses a Chrome trace JSON document and checks that Perfetto would
 /// accept it: every event carries `name`/`ph`/`ts`/`pid`/`tid`, timestamps
-/// never decrease (metadata events excepted — viewers ignore their
-/// timestamps), `B`/`E` events nest with matching names per thread and
-/// every span is closed, async `b`/`e` events carry a numeric `id` and
-/// pair up by `(cat, id)` with matching names, and counters carry a
-/// numeric `args.value`.
+/// never decrease, `B`/`E` events nest with matching names per thread and
+/// every span is closed, and counters carry a numeric `args.value`.
 ///
 /// # Errors
 ///
@@ -205,10 +111,6 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
     };
     // Open-span stack per (pid, tid).
     let mut stacks: Vec<((i128, i128), Vec<String>)> = Vec::new();
-    // Open async spans keyed by (cat, id) — a stack, since ids may be
-    // reused sequentially.
-    let mut async_open: Vec<((String, i128), Vec<String>)> = Vec::new();
-    let mut pids: Vec<i128> = Vec::new();
     let mut last_ts: Option<i128> = None;
     for (idx, ev) in events.iter().enumerate() {
         let name = str_field(ev, "name", idx)?;
@@ -216,11 +118,6 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
         let ts = int_field(ev, "ts", idx)?;
         let pid = int_field(ev, "pid", idx)?;
         let tid = int_field(ev, "tid", idx)?;
-        if ph == "M" {
-            // Metadata names a process/thread; it is not on the timeline.
-            check.metadata += 1;
-            continue;
-        }
         if ts < 0 {
             return Err(format!("event {idx} ({name}): negative timestamp {ts}"));
         }
@@ -233,9 +130,6 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
         }
         last_ts = Some(ts);
         check.max_ts_us = check.max_ts_us.max(ts as u64);
-        if !pids.contains(&pid) {
-            pids.push(pid);
-        }
         let key = (pid, tid);
         let stack = match stacks.iter_mut().find(|(k, _)| *k == key) {
             Some((_, s)) => s,
@@ -259,35 +153,6 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
                     ))
                 }
             },
-            "b" | "e" => {
-                let cat = str_field(ev, "cat", idx)?;
-                let id = int_field(ev, "id", idx)?;
-                let akey = (cat, id);
-                let opens = match async_open.iter_mut().find(|(k, _)| *k == akey) {
-                    Some((_, s)) => s,
-                    None => {
-                        async_open.push((akey, Vec::new()));
-                        &mut async_open.last_mut().expect("just pushed").1
-                    }
-                };
-                if ph == "b" {
-                    opens.push(name);
-                } else {
-                    match opens.pop() {
-                        Some(open) if open == name => check.async_spans += 1,
-                        Some(open) => {
-                            return Err(format!(
-                                "event {idx}: async end of {name:?} but {open:?} is open"
-                            ))
-                        }
-                        None => {
-                            return Err(format!(
-                                "event {idx}: async end of {name:?} with no open async span"
-                            ))
-                        }
-                    }
-                }
-            }
             "i" | "I" => check.instants += 1,
             "C" => {
                 match ev.get("args").and_then(|a| a.get("value")) {
@@ -310,14 +175,6 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
             ));
         }
     }
-    for ((cat, id), opens) in &async_open {
-        if let Some(open) = opens.last() {
-            return Err(format!(
-                "unbalanced trace: async span {open:?} ({cat}:{id}) never ends"
-            ));
-        }
-    }
-    check.pids = pids.len();
     Ok(check)
 }
 
@@ -415,101 +272,6 @@ mod tests {
             .contains("not an array"));
         let missing_ph = "{\"traceEvents\":[{\"name\":\"x\",\"ts\":1,\"pid\":1,\"tid\":1}]}";
         assert!(validate(missing_ph).unwrap_err().contains("missing field"));
-    }
-
-    fn span(id: u64, name: &str, begin_us: u64, end_us: u64) -> AsyncSpan {
-        AsyncSpan {
-            id,
-            cat: "cell".to_string(),
-            name: name.to_string(),
-            begin_us,
-            end_us,
-        }
-    }
-
-    #[test]
-    fn merged_export_validates_with_multiple_pids() {
-        let parts = vec![
-            TracePart {
-                pid: 1,
-                label: "w1".to_string(),
-                clock_offset_us: 0,
-                events: vec![
-                    ev(EventKind::Counter, 10, 1, "claims", 1.0),
-                    ev(EventKind::Instant, 20, 1, "drain", 0.0),
-                ],
-                async_spans: vec![span(1, "cell a", 5, 40)],
-            },
-            TracePart {
-                pid: 2,
-                label: "w2".to_string(),
-                clock_offset_us: 100,
-                events: vec![],
-                async_spans: vec![span(2, "cell b", 0, 30), span(3, "cell c", 10, 10)],
-            },
-        ];
-        let json = export_merged(&parts);
-        let check = validate(&json).expect("merged trace validates");
-        assert_eq!(check.metadata, 2);
-        assert_eq!(check.pids, 2);
-        assert_eq!(check.async_spans, 3);
-        assert_eq!(check.counters, 1);
-        assert_eq!(check.instants, 1);
-        // w2's spans are shifted by its clock offset.
-        assert_eq!(check.max_ts_us, 130);
-        assert!(json.contains("process_name"));
-        assert!(json.contains("\"w2\""));
-    }
-
-    #[test]
-    fn merged_export_orders_interleaved_clocks() {
-        // Worker 2 starts 50us later; its early events must sort between
-        // worker 1's, not after them.
-        let parts = vec![
-            TracePart {
-                pid: 1,
-                label: "w1".to_string(),
-                clock_offset_us: 0,
-                events: vec![
-                    ev(EventKind::Instant, 10, 1, "a", 0.0),
-                    ev(EventKind::Instant, 200, 1, "b", 0.0),
-                ],
-                async_spans: vec![],
-            },
-            TracePart {
-                pid: 2,
-                label: "w2".to_string(),
-                clock_offset_us: 50,
-                events: vec![ev(EventKind::Instant, 10, 1, "c", 0.0)],
-                async_spans: vec![],
-            },
-        ];
-        let check = validate(&export_merged(&parts)).expect("validates");
-        assert_eq!(check.instants, 3);
-    }
-
-    #[test]
-    fn async_end_without_begin_is_rejected() {
-        let json = "{\"traceEvents\":[{\"name\":\"x\",\"cat\":\"c\",\"ph\":\"e\",\"id\":7,\
-                     \"ts\":1,\"pid\":1,\"tid\":1}]}";
-        let err = validate(json).unwrap_err();
-        assert!(err.contains("no open async span"), "{err}");
-    }
-
-    #[test]
-    fn dangling_async_begin_is_rejected() {
-        let json = "{\"traceEvents\":[{\"name\":\"x\",\"cat\":\"c\",\"ph\":\"b\",\"id\":7,\
-                     \"ts\":1,\"pid\":1,\"tid\":1}]}";
-        let err = validate(json).unwrap_err();
-        assert!(err.contains("never ends"), "{err}");
-    }
-
-    #[test]
-    fn async_begin_requires_id() {
-        let json = "{\"traceEvents\":[{\"name\":\"x\",\"cat\":\"c\",\"ph\":\"b\",\
-                     \"ts\":1,\"pid\":1,\"tid\":1}]}";
-        let err = validate(json).unwrap_err();
-        assert!(err.contains("missing field \"id\""), "{err}");
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Both live in this, the lowest crate, so every layer that frames or
 //! names bytes — codec stream sidecars, `.ztrc` chunks, sweep journals,
-//! fleet event lines, `.ztrc` and lease file names, the sweep model
-//! identity — shares one implementation.
+//! `.ztrc` file names, the sweep model identity — shares one
+//! implementation.
 
 const fn make_crc32_table() -> [u32; 256] {
     let mut table = [0u32; 256];
@@ -93,13 +93,6 @@ impl Default for Fnv1a64 {
     }
 }
 
-/// One-shot 64-bit FNV-1a of a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a64::new();
-    h.update(bytes);
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,12 +110,18 @@ mod tests {
 
     #[test]
     fn fnv1a64_matches_known_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        for (bytes, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"foobar", 0x8594_4171_f739_67e8),
+        ] {
+            let mut h = Fnv1a64::new();
+            h.update(bytes);
+            assert_eq!(h.finish(), want);
+        }
         let mut h = Fnv1a64::new();
         h.update(b"foo");
         h.update(b"bar");
-        assert_eq!(h.finish(), fnv1a64(b"foobar"));
+        assert_eq!(h.finish(), 0x8594_4171_f739_67e8);
     }
 }

@@ -15,28 +15,18 @@
 //!   ([`tracer::session_start`]), so merely linking the tracer changes
 //!   nothing until a tool such as `trace_run` opens a session.
 //!
-//! * [`events`] — CRC-guarded JSONL fleet event streams for
-//!   multi-process sweeps: per-worker lease-lifecycle events plus
-//!   periodic [`metrics::MetricsDelta`] time-series snapshots. Types,
-//!   writer and reader are always compiled (status tools must read any
-//!   stream); the process-wide sink the fabric emits through is gated
-//!   behind the `events` cargo feature, same pattern as the tracer.
-//!
 //! * [`hash`] — the workspace's one CRC32 and one FNV-1a, shared by every
 //!   layer that checksums or names bytes.
 //!
 //! Recorded events export to two formats: Chrome `trace_event` JSON
 //! ([`chrome::export`], loadable in Perfetto / `chrome://tracing`) and a
 //! compact CSV time series of counter samples ([`csv::counter_csv`]).
-//! [`chrome::export_merged`] merges N per-worker timelines into one
-//! multi-process trace. [`chrome::validate`] re-parses an exported trace
-//! and checks the invariants Perfetto relies on (balanced begin/end pairs
-//! per thread, matched async span begin/end pairs, monotonic timestamps),
-//! so CI can fail on a malformed trace.
+//! [`chrome::validate`] re-parses an exported trace and checks the
+//! invariants Perfetto relies on (balanced begin/end pairs per thread,
+//! monotonic timestamps), so CI can fail on a malformed trace.
 
 pub mod chrome;
 pub mod csv;
-pub mod events;
 pub mod hash;
 pub mod log;
 pub mod metrics;

@@ -144,47 +144,6 @@ impl Histogram {
         }
     }
 
-    /// Change since `prev` (or since empty when `None`) as a sparse,
-    /// exactly-replayable delta. `count` and the per-bucket counts are
-    /// u64 differences — integer addition replays them without loss. The
-    /// f64 fields (`sum`/`min`/`max`) are the *absolute* post-snapshot
-    /// values: re-adding float increments would accumulate rounding, so
-    /// replay overwrites instead. Callers must only emit a delta when
-    /// `count` grew (see [`MetricsRegistry::delta_since`]); an empty
-    /// histogram's `min` is `+inf`, which JSON cannot hold.
-    fn delta_since(&self, name: &str, prev: Option<&Histogram>) -> HistogramDelta {
-        let empty = Histogram::default();
-        let prev = prev.unwrap_or(&empty);
-        let buckets = self
-            .buckets
-            .iter()
-            .zip(&prev.buckets)
-            .enumerate()
-            .filter(|(_, (cur, old))| *cur > *old)
-            .map(|(b, (cur, old))| (b as u8, cur - old))
-            .collect();
-        HistogramDelta {
-            name: name.to_string(),
-            count: self.count.saturating_sub(prev.count),
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
-            buckets,
-        }
-    }
-
-    /// Replays one delta: counts add, float fields take the delta's
-    /// absolute values.
-    fn apply_delta(&mut self, d: &HistogramDelta) {
-        self.count += d.count;
-        self.sum = d.sum;
-        self.min = d.min;
-        self.max = d.max;
-        for &(b, n) in &d.buckets {
-            self.buckets[(b as usize).min(BUCKETS - 1)] += n;
-        }
-    }
-
     /// Snapshot used in JSON reports.
     pub fn summary(&self, name: &str) -> HistogramSummary {
         HistogramSummary {
@@ -268,79 +227,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Merges a standalone histogram into the one under `name`, creating
-    /// it if absent. Lets callers that accumulate a [`Histogram`] outside
-    /// any registry (e.g. a latency histogram behind a mutex) publish it.
-    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        // An empty histogram carries no information; skipping it keeps the
-        // registry free of zero-count entries, which `delta_since` cannot
-        // encode (their min/max are non-finite).
-        if h.count > 0 {
-            self.histograms
-                .entry(name.to_string())
-                .or_default()
-                .merge(h);
-        }
-    }
-
-    /// Change since the `prev` snapshot as an exactly-replayable delta:
-    /// counter and histogram-bucket increases are u64 differences, gauges
-    /// carry absolute values, and histograms whose count did not grow are
-    /// omitted (so every emitted delta has finite `min`/`max`). Replaying
-    /// every delta of a snapshot chain with [`apply_delta`] onto the chain's
-    /// starting registry reconstructs the final registry field-exactly —
-    /// including percentiles.
-    ///
-    /// `prev` must be an earlier snapshot of the same registry (counters
-    /// monotone, histograms append-only); differences saturate to zero
-    /// otherwise rather than panicking.
-    ///
-    /// [`apply_delta`]: MetricsRegistry::apply_delta
-    pub fn delta_since(&self, prev: &MetricsRegistry) -> MetricsDelta {
-        // A counter registered at zero still has to appear in the replayed
-        // registry, so keys absent from `prev` are carried even with a
-        // zero increment.
-        let counters = self
-            .counters
-            .iter()
-            .filter(|(k, v)| !prev.counters.contains_key(*k) || **v > prev.counter(k))
-            .map(|(k, v)| (k.clone(), v.saturating_sub(prev.counter(k))))
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .filter(|(k, v)| prev.gauge_value(k).map(f64::to_bits) != Some(v.to_bits()))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .filter(|(k, h)| h.count > prev.histograms.get(*k).map_or(0, |p| p.count))
-            .map(|(k, h)| h.delta_since(k, prev.histograms.get(k)))
-            .collect();
-        MetricsDelta {
-            counters,
-            gauges,
-            histograms,
-        }
-    }
-
-    /// Replays one delta produced by [`delta_since`](Self::delta_since).
-    pub fn apply_delta(&mut self, delta: &MetricsDelta) {
-        for (k, v) in &delta.counters {
-            self.incr(k, *v);
-        }
-        for (k, v) in &delta.gauges {
-            self.gauge(k, *v);
-        }
-        for d in &delta.histograms {
-            self.histograms
-                .entry(d.name.clone())
-                .or_default()
-                .apply_delta(d);
-        }
-    }
-
     /// Merges another registry: counters add, gauges take the other's
     /// value, histograms merge bucket-wise.
     pub fn merge(&mut self, other: &MetricsRegistry) {
@@ -375,53 +261,6 @@ pub struct MetricsSummary {
     pub gauges: Vec<(String, f64)>,
     /// Histogram percentile summaries.
     pub histograms: Vec<HistogramSummary>,
-}
-
-/// Sparse change of one histogram between two registry snapshots.
-///
-/// `count` and `buckets` are u64 increments (replayed by integer addition,
-/// which is exact); `sum`/`min`/`max` are the absolute values *at* the
-/// snapshot, overwritten on replay so no float rounding accumulates. Only
-/// produced for histograms whose count grew, so the float fields are
-/// always finite and JSON-safe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HistogramDelta {
-    /// Registry key.
-    pub name: String,
-    /// Samples recorded since the previous snapshot.
-    pub count: u64,
-    /// Absolute sum of all samples at this snapshot.
-    pub sum: f64,
-    /// Absolute smallest sample at this snapshot.
-    pub min: f64,
-    /// Absolute largest sample at this snapshot.
-    pub max: f64,
-    /// `(bucket index, increment)` pairs for buckets that grew.
-    pub buckets: Vec<(u8, u64)>,
-}
-
-/// Change of a whole [`MetricsRegistry`] between two snapshots, the
-/// payload of periodic time-series records in fleet event streams.
-/// Replaying a chain of deltas in order reconstructs the final registry
-/// exactly (see [`MetricsRegistry::delta_since`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct MetricsDelta {
-    /// Counter increments (plus zero-valued entries for newly registered
-    /// counters).
-    pub counters: Vec<(String, u64)>,
-    /// Gauges that changed, with their absolute values.
-    pub gauges: Vec<(String, f64)>,
-    /// Histograms that gained samples.
-    pub histograms: Vec<HistogramDelta>,
-}
-
-impl MetricsDelta {
-    /// True when the delta carries no change at all (an empty delta is
-    /// still worth emitting as a liveness heartbeat, but readers may skip
-    /// replaying it).
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -523,65 +362,6 @@ mod tests {
         // Summaries of equal registries are equal (and thus serialize
         // byte-identically through the insertion-ordered JSON writer).
         assert_eq!(s, a.summary());
-    }
-
-    #[test]
-    fn delta_replay_reconstructs_registry_exactly() {
-        let mut live = MetricsRegistry::new();
-        let mut replayed = MetricsRegistry::new();
-        let mut prev = live.clone();
-        // A few snapshot windows with assorted activity in each.
-        for round in 0..5u64 {
-            live.incr("cells", round);
-            live.incr("zero", 0); // registered at zero, must survive replay
-            live.gauge("ratio", 1.0 + round as f64 * 0.125);
-            for i in 0..(round * 3) {
-                live.observe("latency", (i * 17 + round) as f64);
-            }
-            let delta = live.delta_since(&prev);
-            let json = serde_json::to_string(&delta).unwrap();
-            let back: MetricsDelta = serde_json::from_str(&json).unwrap();
-            replayed.apply_delta(&back);
-            prev = live.clone();
-        }
-        assert_eq!(replayed, live);
-        assert_eq!(replayed.summary(), live.summary());
-    }
-
-    #[test]
-    fn empty_and_unchanged_registries_produce_empty_deltas() {
-        let empty = MetricsRegistry::new();
-        assert!(empty.delta_since(&empty).is_empty());
-        let mut r = MetricsRegistry::new();
-        r.incr("n", 3);
-        r.observe("h", 7.0);
-        let delta = r.delta_since(&r.clone());
-        assert!(delta.is_empty(), "{delta:?}");
-    }
-
-    #[test]
-    fn single_bucket_delta_round_trips() {
-        let mut live = MetricsRegistry::new();
-        live.observe("h", 100.0);
-        let delta = live.delta_since(&MetricsRegistry::new());
-        assert_eq!(delta.histograms.len(), 1);
-        assert_eq!(delta.histograms[0].buckets.len(), 1);
-        let mut replayed = MetricsRegistry::new();
-        replayed.apply_delta(&delta);
-        assert_eq!(replayed, live);
-        assert_eq!(replayed.histogram("h").unwrap().percentile(0.99), 100.0);
-    }
-
-    #[test]
-    fn merge_histogram_skips_empty_and_merges_samples() {
-        let mut r = MetricsRegistry::new();
-        r.merge_histogram("lat", &Histogram::default());
-        assert!(r.histogram("lat").is_none());
-        let mut h = Histogram::default();
-        h.record(4.0);
-        h.record(9.0);
-        r.merge_histogram("lat", &h);
-        assert_eq!(r.histogram("lat").unwrap().count(), 2);
     }
 
     #[test]

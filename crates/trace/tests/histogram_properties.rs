@@ -1,32 +1,8 @@
-//! Property-based tests of the histogram percentile math, registry merge
-//! semantics, and snapshot/delta time-series encoding.
+//! Property-based tests of the histogram percentile math and registry
+//! merge semantics.
 
 use proptest::prelude::*;
-use zcomp_trace::metrics::{Histogram, MetricsDelta, MetricsRegistry};
-
-/// Replays a chain of JSON-round-tripped deltas and returns the
-/// reconstructed registry.
-fn replay_chain(live: &mut MetricsRegistry, windows: &[Vec<(u8, f64)>]) -> MetricsRegistry {
-    let mut replayed = MetricsRegistry::new();
-    let mut prev = live.clone();
-    for ops in windows {
-        for &(op, v) in ops {
-            match op {
-                0 => live.incr("cells", (v as u64) % 17),
-                1 => live.gauge("ratio", v),
-                2 => live.observe("latency_us", v),
-                _ => live.observe("bytes", v),
-            }
-        }
-        let delta = live.delta_since(&prev);
-        // Round-trip through the wire format the event stream uses.
-        let json = serde_json::to_string(&delta).expect("delta serializes");
-        let back: MetricsDelta = serde_json::from_str(&json).expect("delta parses");
-        replayed.apply_delta(&back);
-        prev = live.clone();
-    }
-    replayed
-}
+use zcomp_trace::metrics::{Histogram, MetricsRegistry};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -91,65 +67,6 @@ proptest! {
         for q in [0.5, 0.95, 0.99] {
             prop_assert_eq!(merged.percentile(q), combined.percentile(q));
         }
-    }
-
-    #[test]
-    fn delta_replay_reconstructs_registry_exactly(
-        windows in proptest::collection::vec(
-            proptest::collection::vec((0u8..4, 0.0f64..1e9), 0..40), 1..12),
-    ) {
-        let mut live = MetricsRegistry::new();
-        let replayed = replay_chain(&mut live, &windows);
-        // Field-exact: counters, gauges, and full histogram state —
-        // which implies every percentile query agrees exactly.
-        prop_assert_eq!(&replayed, &live);
-        prop_assert_eq!(replayed.summary(), live.summary());
-        for name in ["latency_us", "bytes"] {
-            if let (Some(r), Some(l)) = (replayed.histogram(name), live.histogram(name)) {
-                for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-                    prop_assert_eq!(r.percentile(q), l.percentile(q));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn delta_replay_handles_empty_windows(
-        quiet in 1usize..6,
-        samples in proptest::collection::vec(0.0f64..1e9, 0..10),
-    ) {
-        // Windows with no activity at all (heartbeats of an idle worker)
-        // must produce empty deltas and replay to the same registry —
-        // including the fully-empty-registry edge where no histogram ever
-        // gains a sample.
-        let mut windows: Vec<Vec<(u8, f64)>> = vec![Vec::new(); quiet];
-        windows.push(samples.iter().map(|&s| (2u8, s)).collect());
-        windows.push(Vec::new());
-        let mut live = MetricsRegistry::new();
-        let replayed = replay_chain(&mut live, &windows);
-        prop_assert_eq!(&replayed, &live);
-        let empty = MetricsRegistry::new();
-        prop_assert!(empty.delta_since(&empty).is_empty());
-    }
-
-    #[test]
-    fn delta_replay_single_bucket(value in 0.0f64..1e9, n in 1usize..50, splits in 1usize..5) {
-        // All samples land in one log2 bucket; split the recording across
-        // several snapshot windows and check the sparse single-bucket
-        // deltas still reconstruct exact percentiles.
-        let mut windows: Vec<Vec<(u8, f64)>> = vec![Vec::new(); splits];
-        for i in 0..n {
-            windows[i % splits].push((2u8, value));
-        }
-        let mut live = MetricsRegistry::new();
-        let replayed = replay_chain(&mut live, &windows);
-        prop_assert_eq!(&replayed, &live);
-        let h = replayed.histogram("latency_us").expect("histogram exists");
-        prop_assert_eq!(h.count(), n as u64);
-        prop_assert_eq!(h.percentile(0.5), live.histogram("latency_us").unwrap().percentile(0.5));
-        // One distinct sample value: min == max, so every percentile
-        // clamps to the exact value.
-        prop_assert_eq!(h.percentile(0.99), value.max(0.0));
     }
 
     #[test]
