@@ -1,10 +1,9 @@
 //! Fault-injection campaign: detection rate, silent-corruption rate,
 //! degradation overhead and desync distance, swept over fault rate ×
 //! injection site, under the strong (separate headers + CRC32) and weak
-//! (interleaved, no checksum) integrity policies. Campaign cells run
-//! under the supervised runtime — a panicking (site, rate) cell is
-//! quarantined and reported (exit 3) instead of aborting the campaign —
-//! and `--attempts`/`--deadline-ms` set the supervision policy.
+//! (interleaved, no checksum) integrity policies. Campaign cells run once
+//! each under the supervised runtime: a panicking (site, rate) cell is
+//! quarantined and reported (exit 3) instead of aborting the campaign.
 
 use zcomp::experiments::fault_campaign::{run_sweep, CampaignConfig, FaultCampaignResult};
 use zcomp::report::pct;
@@ -32,7 +31,7 @@ fn print_summary(label: &str, r: &FaultCampaignResult) {
 }
 
 fn main() {
-    let args = Args::from_env(Flags::Supervised);
+    let args = Args::from_env(Flags::Figure);
     print_machine();
     let cfg = CampaignConfig::default_scaled(args.scale);
     let (strong_out, weak_out) = args.run(|opts| {

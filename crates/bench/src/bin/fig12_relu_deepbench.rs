@@ -3,18 +3,17 @@
 //! avx512-vec, avx512-comp and zcomp. Also prints the §3.3 L2-prefetcher
 //! effectiveness observed during the zcomp runs.
 //!
-//! Cells run under the supervised runtime: a cell that keeps panicking
-//! (or exceeds `--deadline-ms`) is quarantined and reported, and the exit
-//! code is 3. With `--traces DIR` the sweep journals every completed
-//! cell under `DIR` and restores the cells the journal already holds —
-//! same cell, same machine config, same executable — so a rerun executes
-//! nothing and writes byte-identical `--json`, and a killed run continues
-//! where it stopped; `--refresh` recomputes every cell.
+//! Cells run once each under the supervised runtime: a cell that panics
+//! is quarantined and reported, and the exit code is 3. With
+//! `--traces DIR` the sweep journals every completed cell under `DIR`
+//! and restores the cells the journal already holds — same cell, same
+//! machine config, same executable — so a rerun executes nothing and
+//! writes byte-identical `--json`, and a killed run continues where it
+//! stopped; `--refresh` recomputes every cell.
 //!
 //! ```text
 //! fig12_relu_deepbench [--quick|--scale N] [--json PATH] [--quiet]
-//!     [--threads N] [--traces DIR] [--refresh] [--attempts N]
-//!     [--deadline-ms MS]
+//!     [--threads N] [--traces DIR] [--refresh]
 //! ```
 
 use zcomp::experiments::fig12::{self, Panel};

@@ -12,12 +12,12 @@
 //! `--chaos` runs the resilience grid instead: per codec fault rate,
 //! three identically-loaded nodes under the same seeded instance-crash
 //! schedule — uncompressed, compressed-hard-fail, and
-//! compressed-degraded (the PR-1 retry-then-uncompressed brownout) —
+//! compressed-degraded (the retry-then-uncompressed brownout) —
 //! reporting goodput and per-class p99, plus one knee search under
 //! chaos.
 //!
-//! Cells run under the supervised sweep runtime (`run_cells`): panic
-//! quarantine and retries behave as in the other sweep binaries. With
+//! Cells run once each under the supervised sweep runtime (`run_cells`):
+//! a panicking cell is quarantined, as in the other sweep binaries. With
 //! `--traces DIR` each finished cell is journalled under `DIR`, and a
 //! rerun over the same root restores them instead of executing (a killed
 //! run resumes where it stopped); `--refresh` recomputes every cell.
@@ -32,8 +32,7 @@
 //!
 //! ```text
 //! serve_run [--smoke] [--chaos] [--quick|--scale N] [--threads N]
-//!           [--traces DIR [--refresh]] [--json PATH] [--attempts N]
-//!           [--deadline-ms MS] [--quiet]
+//!           [--traces DIR [--refresh]] [--json PATH] [--quiet]
 //! ```
 
 use std::process::exit;

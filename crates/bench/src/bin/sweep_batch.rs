@@ -1,8 +1,8 @@
 //! Extension sweep: batch-size effect on the feature-map vs weight
 //! footprint balance (§2.3's motivation for larger batches stressing the
-//! memory system). Each model sweeps as a supervised cell, so one sick
-//! model is quarantined (exit 3) instead of losing the other tables; the
-//! supervision flags (`--attempts`, `--deadline-ms`) apply.
+//! memory system). Each model sweeps once as a supervised cell, so a
+//! model that panics is quarantined (exit 3) instead of losing the other
+//! tables.
 
 use zcomp::experiments::sweeps::batch_sweep;
 use zcomp::sweep::run_cells;
@@ -12,7 +12,7 @@ use zcomp_dnn::models::ModelId;
 const BATCHES: [usize; 6] = [1, 4, 16, 64, 128, 256];
 
 fn main() {
-    let args = Args::from_env(Flags::Supervised);
+    let args = Args::from_env(Flags::Figure);
     print_machine();
     let run = args.run(|opts| {
         run_cells(
@@ -21,10 +21,7 @@ fn main() {
             opts.fingerprint(0),
             opts,
             |i| format!("model={}", ModelId::ALL[i]),
-            |i| {
-                let model = ModelId::ALL[i];
-                Box::new(move || batch_sweep(model, &BATCHES))
-            },
+            |i| move || batch_sweep(ModelId::ALL[i], &BATCHES),
         )
     });
     for result in run.outcomes.iter().filter_map(|o| o.value()) {

@@ -1,8 +1,7 @@
 //! Extension sweep: thread-count scalability of the three ReLU schemes
 //! (§4.3's partitioned-parallelization scaling argument). Each thread
-//! count simulates as a supervised cell; quarantined points are omitted
-//! from the table and reported on stderr (exit 3). The supervision flags
-//! (`--attempts`, `--deadline-ms`) apply.
+//! count simulates once as a supervised cell; a point that panics is
+//! quarantined, omitted from the table and reported on stderr (exit 3).
 
 use zcomp::experiments::thread_sweep::{self, ThreadSweepResult};
 use zcomp::sweep::run_cells;
@@ -11,7 +10,7 @@ use zcomp_bench::{print_machine, print_table, report_supervision, Args, Flags};
 const THREAD_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 
 fn main() {
-    let args = Args::from_env(Flags::Supervised);
+    let args = Args::from_env(Flags::Figure);
     print_machine();
     let elements = ((16 << 20) / args.scale.max(1)).max(128 * 1024);
     let run = args.run(|opts| {
@@ -21,10 +20,7 @@ fn main() {
             opts.fingerprint(0),
             opts,
             |i| format!("elements={elements};threads={}", THREAD_COUNTS[i]),
-            |i| {
-                let threads = THREAD_COUNTS[i];
-                Box::new(move || thread_sweep::run(elements, &[threads]).points)
-            },
+            |i| move || thread_sweep::run(elements, &[THREAD_COUNTS[i]]).points,
         )
     });
     let result = ThreadSweepResult {

@@ -7,8 +7,6 @@
 //! * `--scale <N>` — explicit scale divisor (1 = the paper's full sizes);
 //! * `--json <path>` — also write the typed result as JSON;
 //! * `--quiet` — silence the leveled stderr logger (overrides `ZCOMP_LOG`);
-//! * supervised sweeps add the supervision flags (`--attempts`,
-//!   `--deadline-ms`);
 //! * cached sweeps add `--threads <N>` (0 = one per core, the default),
 //!   `--traces <dir>` (the journal's cache root) and `--refresh`
 //!   (recompute every cell instead of restoring it).
@@ -23,7 +21,6 @@
 //! pointing at the parser.
 
 use zcomp::report::Table;
-use zcomp::supervise::SuperviseOpts;
 use zcomp::sweep::{CacheMode, SupervisionReport, SweepError, SweepOpts, SweepOutcome};
 use zcomp_sim::config::SimConfig;
 
@@ -77,10 +74,6 @@ fn number_of<T: std::str::FromStr + PartialOrd + std::fmt::Display>(
 pub enum Flags {
     /// `--quick/--scale/--json/--quiet` only.
     Figure,
-    /// Plus the supervision flags: `--attempts <N>` (attempts per cell
-    /// before quarantine) and `--deadline-ms <N>` (per-cell watchdog
-    /// deadline, 0 = none).
-    Supervised,
     /// Plus `--threads` and the cache root: `--traces/--refresh`. A
     /// cached sweep restores its journal unless `--refresh` is given.
     Cached,
@@ -90,14 +83,8 @@ impl Flags {
     /// The flags a binary at this level honours, followed by its `own`.
     fn usage(self, own: &[&str]) -> String {
         let mut usage = "--quick/--scale/--json/--quiet".to_string();
-        for (level, flags) in [
-            (Flags::Supervised, "--attempts/--deadline-ms"),
-            (Flags::Cached, "--threads/--traces/--refresh"),
-        ] {
-            if self >= level {
-                usage.push_str(", ");
-                usage.push_str(flags);
-            }
+        if self >= Flags::Cached {
+            usage.push_str(", --threads/--traces/--refresh");
         }
         if !own.is_empty() {
             usage.push_str(", ");
@@ -123,10 +110,6 @@ pub struct Args {
     pub traces: Option<String>,
     /// Ignore the journal and recompute every cell.
     pub refresh: bool,
-    /// Attempts per cell before quarantine.
-    pub attempts: u32,
-    /// Per-cell watchdog deadline in milliseconds (0 = none).
-    pub deadline_ms: Option<u64>,
 }
 
 impl Args {
@@ -140,12 +123,10 @@ impl Args {
             threads: usize::from(flags < Flags::Cached),
             traces: None,
             refresh: false,
-            attempts: SuperviseOpts::default().max_attempts,
-            deadline_ms: None,
         }
     }
 
-    /// Parses `std::env::args`-style arguments (without argv[0]).
+    /// Parses `std::env::args`-style arguments (without `argv[0]`).
     pub fn parse<I: IntoIterator<Item = String>>(args: I, flags: Flags) -> Result<Args, CliError> {
         Args::parse_with(args, flags, []).map(|(args, [])| args)
     }
@@ -160,7 +141,7 @@ impl Args {
     where
         I: IntoIterator<Item = String>,
     {
-        let (run, cached) = (flags >= Flags::Supervised, flags >= Flags::Cached);
+        let cached = flags >= Flags::Cached;
         let mut out = Args::new(flags);
         let mut given = [false; N];
         let mut it = args.into_iter();
@@ -178,10 +159,6 @@ impl Args {
                 "--threads" if cached => out.threads = number_of(it, "--threads", 0)?,
                 "--traces" if cached => out.traces = Some(value_of(it, "--traces")?),
                 "--refresh" if cached => out.refresh = true,
-                "--attempts" if run => out.attempts = number_of(it, "--attempts", 1)?,
-                "--deadline-ms" if run => {
-                    out.deadline_ms = Some(number_of(it, "--deadline-ms", 0)?)
-                }
                 _ => {
                     return Err(CliError::new(format!(
                         "unknown argument: {arg} (expected {})",
@@ -196,7 +173,7 @@ impl Args {
         Ok((out, given))
     }
 
-    /// Parses the process arguments (skipping argv[0]) and applies the
+    /// Parses the process arguments (skipping `argv[0]`) and applies the
     /// logging choice (`--quiet` overrides `ZCOMP_LOG`); a malformed
     /// command line prints the error and exits with code 2.
     pub fn from_env(flags: Flags) -> Args {
@@ -241,19 +218,14 @@ impl Args {
     }
 
     /// The sweep options these arguments describe: thread count, cache
-    /// root and journal policy, and supervision policy.
+    /// root and journal policy.
     pub fn sweep_opts(&self) -> SweepOpts {
         let threads = match self.threads {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         };
-        let mut supervise = SuperviseOpts::default().with_attempts(self.attempts);
-        if let Some(ms @ 1..) = self.deadline_ms {
-            supervise = supervise.with_deadline(std::time::Duration::from_millis(ms));
-        }
         let mut opts = SweepOpts::serial()
             .with_threads(threads)
-            .with_supervise(supervise)
             .with_mode(if self.refresh {
                 CacheMode::Refresh
             } else {
@@ -334,7 +306,6 @@ mod tests {
         let opts = a.sweep_opts();
         assert_eq!(opts.threads, 1, "figure binaries run their cells serially");
         assert!(opts.cache_root.is_none());
-        assert_eq!(opts.supervise, SuperviseOpts::default());
         let threaded = parse(&[], Flags::Cached).unwrap();
         assert_eq!(threaded.threads, 0, "threaded binaries use every core");
         assert!(threaded.sweep_opts().threads >= 1);
@@ -369,10 +340,9 @@ mod tests {
     #[test]
     fn flags_above_a_binarys_level_are_usage_errors() {
         for (args, level) in [
-            (&["--attempts", "2"][..], Flags::Figure),
-            (&["--threads", "2"], Flags::Supervised),
-            (&["--traces", "t"], Flags::Supervised),
-            (&["--traces", "t", "--refresh"], Flags::Supervised),
+            (&["--threads", "2"][..], Flags::Figure),
+            (&["--traces", "t"], Flags::Figure),
+            (&["--traces", "t", "--refresh"], Flags::Figure),
         ] {
             let e = parse(args, level).unwrap_err();
             assert!(e.to_string().contains("unknown argument"), "{args:?}: {e}");
@@ -387,8 +357,6 @@ mod tests {
         let e = parse(&["--scale", "many"], Flags::Figure).unwrap_err();
         assert!(e.to_string().contains("integer"), "{e}");
         let e = parse(&["--scale", "0"], Flags::Figure).unwrap_err();
-        assert!(e.to_string().contains(">= 1"), "{e}");
-        let e = parse(&["--attempts", "0"], Flags::Supervised).unwrap_err();
         assert!(e.to_string().contains(">= 1"), "{e}");
     }
 
@@ -405,10 +373,6 @@ mod tests {
                 "--refresh",
                 "--json",
                 "R.json",
-                "--attempts",
-                "3",
-                "--deadline-ms",
-                "1500",
                 "--quiet",
             ],
             Flags::Cached,
@@ -426,11 +390,6 @@ mod tests {
         );
         // The experiment derives resume from the cache mode.
         assert_eq!(opts.cache_mode, CacheMode::Refresh);
-        assert_eq!(opts.supervise.max_attempts, 3);
-        assert_eq!(
-            opts.supervise.deadline,
-            Some(std::time::Duration::from_millis(1500))
-        );
     }
 
     #[test]
@@ -447,9 +406,13 @@ mod tests {
             &["--resume"],
             &["--worker-id", "w-a"],
             &["--lease-ttl-ms", "2000"],
+            &["--attempts", "2"],
+            &["--deadline-ms", "100"],
         ] {
-            let e = parse(args, Flags::Cached).unwrap_err().to_string();
-            assert!(e.contains(&format!("unknown argument: {}", args[0])), "{e}");
+            for level in [Flags::Figure, Flags::Cached] {
+                let e = parse(args, level).unwrap_err().to_string();
+                assert!(e.contains(&format!("unknown argument: {}", args[0])), "{e}");
+            }
         }
     }
 

@@ -1,5 +1,5 @@
 //! Base-Delta-Immediate (BDI) compression — Pekhimenko et al., PACT 2012
-//! (reference [43] of the ZCOMP paper).
+//! (reference \[43\] of the ZCOMP paper).
 //!
 //! BDI stores a cache line as one base value plus small per-word deltas.
 //! It excels on pointer-rich and slowly-varying integer data; on fp32

@@ -294,11 +294,13 @@ impl FaultCampaignResult {
 }
 
 /// Runs one configured campaign with every (site, rate) cell routed
-/// through the supervised sweep runtime ([`run_cells`]): a panicking or
-/// hung cell is retried per `opts.supervise` and, if it keeps failing,
-/// quarantined into the result's `quarantined` list with a zeroed
+/// through the supervised sweep runtime ([`run_cells`]): a panicking cell
+/// is quarantined into the result's `quarantined` list with a zeroed
 /// placeholder cell — the rest of the campaign completes. With a cache
-/// root the cells are journalled, and restored when `opts.resume` is set.
+/// root the cells are journalled, and restored unless `opts.cache_mode`
+/// is [`CacheMode::Refresh`].
+///
+/// [`CacheMode::Refresh`]: crate::sweep::CacheMode::Refresh
 ///
 /// The clean control run stays *unsupervised*: if the baseline itself
 /// cannot run there is nothing meaningful to salvage, so that panic
@@ -316,7 +318,7 @@ pub fn run_sweep(
     let opts = &opts.reusing_journal();
     assert!(cfg.trials > 0, "campaign needs at least one trial");
     assert_eq!(cfg.elements % 16, 0, "elements must be whole vectors");
-    let data = std::sync::Arc::new(layer_data(cfg));
+    let data = layer_data(cfg);
     let degrade = cfg.degrade_opts();
 
     let clean = {
@@ -342,15 +344,10 @@ pub fn run_sweep(
             cfg.mode, cfg.checksum
         )
     };
-    let make_job = |idx: usize| -> Box<dyn FnOnce() -> CampaignCell + Send + 'static> {
-        // Self-contained job: campaign cells share the (immutable)
-        // layer data via Arc so a watchdog-abandoned attempt can
-        // safely outlive this frame.
+    let make_job = |idx: usize| {
         let (site, rate) = pairs[idx];
-        let cfg = cfg.clone();
-        let data = std::sync::Arc::clone(&data);
-        let clean = clean.clone();
-        Box::new(move || run_cell(&cfg, site, rate, &data, &degrade, &clean))
+        let (data, degrade, clean) = (&data, &degrade, &clean);
+        move || run_cell(cfg, site, rate, data, degrade, clean)
     };
     let run = run_cells("fault_campaign", items, fingerprint, opts, key_of, make_job)?;
 
@@ -570,7 +567,7 @@ mod tests {
         assert_eq!(threaded.result, reference);
         let cells = cfg.sites.len() * cfg.rates.len();
         assert_eq!(threaded.supervision.executed, cells);
-        assert_eq!(threaded.supervision.retries, 0);
+        assert!(threaded.supervision.quarantined.is_empty());
         assert_eq!(resumed.supervision.resume_skips, cells);
         assert_eq!(resumed.result, reference);
     }

@@ -92,10 +92,9 @@ pub struct Fig12Result {
     /// L2 prefetcher effectiveness aggregated over the zcomp runs
     /// (§3.3 reports 98–99% accuracy, 94–97% coverage).
     pub zcomp_prefetch: PrefetchStats,
-    /// Cells the supervised sweep quarantined after exhausting their
-    /// attempt budget, in index order. Their row slots hold zeroed
-    /// placeholder cells so the report shape — and byte layout — is
-    /// independent of *which* cells failed.
+    /// Cells the supervised sweep quarantined (they panicked), in index
+    /// order. Their row slots hold zeroed placeholder cells so the report
+    /// shape — and byte layout — is independent of *which* cells failed.
     pub quarantined: Vec<CellFailure>,
 }
 
@@ -329,13 +328,12 @@ fn sweep_cell(
 /// executing, and newly executed cells are added to it — so a rerun over
 /// a warm root executes nothing, and calls over different configuration
 /// subsets accumulate into one journal. [`CacheMode::Refresh`] starts a
-/// fresh journal and recomputes every cell. Every cell runs under the
-/// supervision policy in `opts` (panic isolation, optional watchdog
-/// deadline, deterministic retry); cells that exhaust their budget land
-/// in `quarantined` with a zeroed placeholder in their row slot instead
-/// of aborting the sweep. The merge is deterministic: results are
-/// assembled in config/scheme order regardless of which worker finished
-/// first, and a restored result is byte-identical to a computed one.
+/// fresh journal and recomputes every cell. Every cell runs once under
+/// panic isolation; a cell that panics lands in `quarantined` with a
+/// zeroed placeholder in its row slot instead of aborting the sweep. The
+/// merge is deterministic: results are assembled in config/scheme order
+/// regardless of which worker finished first, and a restored result is
+/// byte-identical to a computed one.
 ///
 /// [`CacheMode::Auto`]: crate::sweep::CacheMode::Auto
 /// [`CacheMode::Refresh`]: crate::sweep::CacheMode::Refresh
@@ -358,13 +356,18 @@ pub fn run_sweep(
             sparsity,
         )
     };
-    let make_job = |idx: usize| -> Box<dyn FnOnce() -> Fig12CellRecord + Send + 'static> {
-        // The job must be self-contained ('static): a watchdogged attempt
-        // may outlive this stack frame.
-        let config = configs[idx / SCHEMES.len()].clone();
+    let make_job = |idx: usize| {
         let config_index = idx / SCHEMES.len();
         let scheme = SCHEMES[idx % SCHEMES.len()];
-        Box::new(move || sweep_cell(&config, config_index, scheme, scale_divisor, sparsity))
+        move || {
+            sweep_cell(
+                &configs[config_index],
+                config_index,
+                scheme,
+                scale_divisor,
+                sparsity,
+            )
+        }
     };
     let run = run_cells("fig12", items, fingerprint, opts, key_of, make_job)?;
 
@@ -503,7 +506,7 @@ mod tests {
 
         assert_eq!(json(&cold.result), json(&reference), "cold sweep");
         assert_eq!(cold.supervision.executed, configs.len() * SCHEMES.len());
-        assert_eq!(cold.supervision.retries, 0);
+        assert!(cold.supervision.quarantined.is_empty());
         assert_eq!(
             warm.supervision.executed, 0,
             "a warm rerun executes nothing"

@@ -248,10 +248,9 @@ fn cell_key(model: ModelId, mode: Mode, scheme: Scheme, batch: usize) -> String 
 /// All 30 (network, mode, scheme) cells are independent. With a cache
 /// root in [`CacheMode::Auto`], cells the root's journal already holds
 /// under this model identity are restored without executing;
-/// [`CacheMode::Refresh`] recomputes every cell. Cells run under the
-/// supervision policy in `opts` — panics and watchdog timeouts quarantine
-/// the cell (zeroed placeholder slot + entry in `quarantined`) instead of
-/// aborting. The merge is deterministic regardless of scheduling, and a
+/// [`CacheMode::Refresh`] recomputes every cell. Each cell runs once
+/// under panic isolation — a panic quarantines the cell (zeroed
+/// placeholder slot + entry in `quarantined`) instead of aborting. The merge is deterministic regardless of scheduling, and a
 /// restored result is byte-identical to a computed one.
 ///
 /// [`CacheMode::Auto`]: crate::sweep::CacheMode::Auto
@@ -279,10 +278,10 @@ pub fn run_sweep(
         let (model, mode, scheme) = cell_of(idx);
         cell_key(model, mode, scheme, batch_of(model, mode))
     };
-    let make_job = |idx: usize| -> Box<dyn FnOnce() -> FullNetCell + Send + 'static> {
+    let make_job = |idx: usize| {
         let (model, mode, scheme) = cell_of(idx);
         let batch = batch_of(model, mode);
-        Box::new(move || sweep_cell(model, mode, scheme, batch))
+        move || sweep_cell(model, mode, scheme, batch)
     };
     let run = run_cells("fullnet", items, fingerprint, opts, key_of, make_job)?;
 

@@ -257,8 +257,8 @@ fn assemble(
 }
 
 /// Runs the grid as a supervised sweep via [`run_cells`]: cells (one per
-/// network × scheme) run sharded across threads with panic quarantine,
-/// retries and deterministic merge. With a cache root in
+/// network × scheme) run sharded across threads, once each, with panic
+/// quarantine and deterministic merge. With a cache root in
 /// [`CacheMode::Auto`], cells the root's journal already holds restore
 /// instead of executing; [`CacheMode::Refresh`] recomputes every cell.
 ///
@@ -280,10 +280,9 @@ pub fn run_sweep(
         let (model, max_batch, scheme) = cell_of(idx);
         cell_key(model, max_batch, &grid.params, scheme)
     };
-    let params = grid.params;
-    let make_job = |idx: usize| -> Box<dyn FnOnce() -> ServeCurve + Send + 'static> {
+    let make_job = |idx: usize| {
         let (model, max_batch, scheme) = cell_of(idx);
-        Box::new(move || run_cell(model, max_batch, &params, scheme))
+        move || run_cell(model, max_batch, &grid.params, scheme)
     };
     let run = run_cells("serve", items, fingerprint, opts, key_of, make_job)?;
 

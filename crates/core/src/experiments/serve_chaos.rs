@@ -502,8 +502,8 @@ fn assemble(
     }
 }
 
-/// Runs the grid as a supervised sweep via [`run_cells`], with panic
-/// quarantine and retries. With a cache root in [`CacheMode::Auto`],
+/// Runs the grid as a supervised sweep via [`run_cells`]: each cell runs
+/// once, with panic quarantine. With a cache root in [`CacheMode::Auto`],
 /// cells the root's journal already holds restore instead of executing;
 /// [`CacheMode::Refresh`] recomputes every cell.
 ///
@@ -517,11 +517,7 @@ pub fn run_sweep(
     let opts = &opts.reusing_journal();
     let fingerprint = opts.fingerprint(config_fingerprint(&SimConfig::table1()));
     let key_of = |idx: usize| cell_key(grid, idx);
-    let grid_for_jobs = grid.clone();
-    let make_job = move |idx: usize| -> Box<dyn FnOnce() -> ChaosCell + Send + 'static> {
-        let grid = grid_for_jobs.clone();
-        Box::new(move || run_cell(&grid, idx))
-    };
+    let make_job = |idx: usize| move || run_cell(grid, idx);
     let run = run_cells(
         "serve_chaos",
         grid.cell_count(),

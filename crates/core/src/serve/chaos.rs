@@ -15,9 +15,9 @@
 //!   [`FaultProbe`] Bernoulli machinery the cycle-level simulator uses
 //!   (PR 1), split between a persistent site ([`FaultSite::DramBurst`])
 //!   and a transient one ([`FaultSite::NocFlit`]). What happens next is
-//!   the PR-1 retry-then-uncompressed policy, shared with
+//!   the retry-then-uncompressed policy, shared with
 //!   [`zcomp_kernels::degrade`] via
-//!   [`resolve_stream_fault`](zcomp_kernels::degrade::resolve_stream_fault):
+//!   [`zcomp_kernels::degrade::resolve_stream_fault`]:
 //!   transient faults clear on one retry; persistent faults survive
 //!   retries and — under [`DegradePolicy::Degrade`] — brown the batch out
 //!   to the uncompressed service profile instead of failing its requests.

@@ -126,8 +126,7 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// A serving node for `model` under `scheme` on the Table-1 machine
     /// with the default tenant mix and knobs. `slo_ns`/`max_wait_ns`
-    /// start at zero — derive them with
-    /// [`knee::derive_slo`](crate::serve::knee::derive_slo) before
+    /// start at zero — derive them with [`knee::derive_slo`] before
     /// simulating.
     pub fn new(model: ModelId, scheme: Scheme, max_batch: usize) -> Self {
         ServeConfig {

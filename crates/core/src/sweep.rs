@@ -1,9 +1,8 @@
 //! Sharded, *supervised* sweep execution: spreads independent experiment
 //! cells across OS threads with a deterministic merge, and wraps every
 //! cell in the [`supervise`](crate::supervise) runtime — panic isolation,
-//! watchdog deadlines, deterministic retry, quarantine, and a crash-safe
-//! completion journal that restores finished cells instead of re-running
-//! them.
+//! quarantine, and a crash-safe completion journal that restores finished
+//! cells instead of re-running them.
 //!
 //! Every cell of the Fig. 12 and full-network sweeps builds its own
 //! [`Machine`](zcomp_sim::Machine) from a fixed seed, so cells are
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 use zcomp_trace::hash::Fnv1a64;
 use zcomp_trace::log_warn;
 
-use crate::supervise::{run_cell, CellFailure, CellOutcome, Journal, SuperviseOpts};
+use crate::supervise::{run_cell, CellFailure, CellOutcome, Journal};
 
 /// A sweep-level failure detected *before* any cell runs (as opposed to
 /// per-cell failures, which are quarantined, not raised).
@@ -103,8 +102,6 @@ pub struct SweepOpts {
     /// Journal policy of the cached sweeps (Fig. 12, full-network, serve
     /// and serve-chaos): reuse journalled cells vs recompute.
     pub cache_mode: CacheMode,
-    /// Per-cell supervision policy (attempts, deadline, backoff).
-    pub supervise: SuperviseOpts,
     /// Start from the cache root's journal instead of a fresh one,
     /// restoring the cells it records as complete. Ignored without a
     /// cache root. Every experiment's `run_sweep` derives it from
@@ -119,7 +116,6 @@ impl Default for SweepOpts {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             cache_root: None,
             cache_mode: CacheMode::Auto,
-            supervise: SuperviseOpts::default(),
             resume: false,
         }
     }
@@ -151,12 +147,6 @@ impl SweepOpts {
     /// Sets the journal policy.
     pub fn with_mode(mut self, mode: CacheMode) -> Self {
         self.cache_mode = mode;
-        self
-    }
-
-    /// Sets the per-cell supervision policy.
-    pub fn with_supervise(mut self, supervise: SuperviseOpts) -> Self {
-        self.supervise = supervise;
         self
     }
 
@@ -235,7 +225,7 @@ pub(crate) fn model_identity() -> u64 {
 /// What the supervisor observed across one sweep: counts plus the
 /// structured failure report of every quarantined cell. Serialized next
 /// to (never inside) the experiment result, so the scientific JSON stays
-/// byte-identical whether or not cells were retried or resumed.
+/// byte-identical whether or not cells were resumed.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SupervisionReport {
     /// Total cells in the sweep.
@@ -244,9 +234,7 @@ pub struct SupervisionReport {
     pub executed: usize,
     /// Cells restored from the resume journal without executing.
     pub resume_skips: usize,
-    /// Retry attempts consumed beyond each cell's first try.
-    pub retries: u64,
-    /// Cells that exhausted their attempt budget, in index order.
+    /// Cells that panicked, in index order.
     pub quarantined: Vec<CellFailure>,
 }
 
@@ -254,11 +242,10 @@ impl SupervisionReport {
     /// One-line human summary (for binaries' stderr).
     pub fn summary(&self) -> String {
         format!(
-            "{} cells: {} executed, {} resumed, {} retries, {} quarantined",
+            "{} cells: {} executed, {} resumed, {} quarantined",
             self.cells,
             self.executed,
             self.resume_skips,
-            self.retries,
             self.quarantined.len()
         )
     }
@@ -284,26 +271,25 @@ pub struct CellsRun<T> {
 }
 
 /// Runs `items` supervised cells, sharded over `opts.threads`: open the
-/// journal, restore every cell it holds, run the rest through
-/// [`run_sharded`] and [`run_cell`], commit each completed result, and
-/// report.
+/// journal, restore every cell it holds, run the rest once each through
+/// [`run_sharded`], commit each completed result, and report.
 ///
 /// Without a cache root there is no journal and every cell executes.
 /// With one, the experiment's journal under the root starts fresh unless
 /// `opts.resume` is set, in which case the cells it records as complete
 /// restore instead of executing. Only completed cells are journalled:
-/// quarantined cells are not, so the next run retries them.
+/// quarantined cells are not, so the next run executes them again.
 ///
 /// `key_of(i)` names cell `i`; with `fingerprint` (see
 /// [`SweepOpts::fingerprint`]) it keys the journal record.
-/// `make_job(i)` builds a fresh self-contained closure per attempt; see
-/// [`run_cell`] for why it must be `'static`.
+/// `make_job(i)` builds cell `i`'s job, which runs once, on the worker
+/// thread that built it, under `catch_unwind`.
 ///
 /// Determinism: outcomes come back in index order; restored cells decode
-/// the exact value the original execution committed (with 0 attempts), so
-/// a restored sweep merges to the identical result an uninterrupted run
-/// produces, whatever the thread count or crash history.
-pub fn run_cells<T, K, J>(
+/// the exact value the original execution committed, so a restored sweep
+/// merges to the identical result an uninterrupted run produces, whatever
+/// the thread count or crash history.
+pub fn run_cells<T, K, J, C>(
     experiment: &str,
     items: usize,
     fingerprint: u32,
@@ -312,9 +298,10 @@ pub fn run_cells<T, K, J>(
     make_job: J,
 ) -> Result<CellsRun<T>, SweepError>
 where
-    T: Serialize + Deserialize + Send + 'static,
+    T: Serialize + Deserialize + Send,
     K: Fn(usize) -> String + Sync,
-    J: Fn(usize) -> Box<dyn FnOnce() -> T + Send + 'static> + Sync,
+    J: Fn(usize) -> C + Sync,
+    C: FnOnce() -> T,
 {
     let keys: Vec<String> = (0..items).map(key_of).collect();
     let journal = open_journal(experiment, opts)?;
@@ -331,11 +318,10 @@ where
             let Some(payload) = journal.lookup(key, fingerprint) else {
                 continue;
             };
-            // A record holds a completed value's own JSON. A restored cell
-            // reports 0 attempts: it did not execute here.
+            // A record holds a completed value's own JSON.
             match serde_json::from_str(payload) {
                 Ok(value) => {
-                    outcomes[index] = Some(CellOutcome::Completed { value, attempts: 0 });
+                    outcomes[index] = Some(CellOutcome::Completed { value });
                     report.resume_skips += 1;
                 }
                 Err(e) => log_warn!(
@@ -349,7 +335,7 @@ where
     let todo: Vec<usize> = (0..items).filter(|&i| outcomes[i].is_none()).collect();
     let ran = run_sharded(todo.len(), opts.threads, |j| {
         let (index, key) = (todo[j], &keys[todo[j]]);
-        let outcome = run_cell(&opts.supervise, index, key, || make_job(index));
+        let outcome = run_cell(index, key, make_job(index));
         if let (Some(journal), Some(value)) = (&journal, outcome.value()) {
             // The value-model serializer cannot fail.
             let payload = serde_json::to_string(value).expect("cell results serialize");
@@ -365,9 +351,8 @@ where
         }
         outcome
     });
+    report.executed = todo.len();
     for (index, outcome) in todo.into_iter().zip(ran) {
-        report.executed += 1;
-        report.retries += outcome.retries();
         outcomes[index] = Some(outcome);
     }
 
@@ -498,7 +483,6 @@ mod tests {
         assert!(o.cache_root.is_none());
         assert_eq!(o.cache_mode, CacheMode::Auto);
         assert!(!o.resume);
-        assert_eq!(o.supervise, SuperviseOpts::default());
     }
 
     fn temp_root(name: &str) -> PathBuf {
@@ -513,8 +497,7 @@ mod tests {
         std::fs::write(&blocker, b"file").unwrap();
         let root = blocker.join("nested");
         let opts = SweepOpts::serial().with_cache(&root);
-        let job =
-            |i: usize| -> Box<dyn FnOnce() -> u64 + Send + 'static> { Box::new(move || i as u64) };
+        let job = |i: usize| move || i as u64;
         let err = run_cells("unit", 2, 7, &opts, |i| format!("c{i}"), job)
             .expect_err("a directory under a file must fail at start");
         match &err {
@@ -530,17 +513,15 @@ mod tests {
     fn run_cells_quarantines_and_journals_then_resumes() {
         let root = temp_root("cells");
         let _ = std::fs::remove_dir_all(&root);
-        let opts = SweepOpts::serial()
-            .with_cache(&root)
-            .with_supervise(SuperviseOpts::single());
+        let opts = SweepOpts::serial().with_cache(&root);
         let key_of = |i: usize| format!("cell-{i}");
-        let job = |i: usize| -> Box<dyn FnOnce() -> u64 + Send + 'static> {
-            Box::new(move || {
+        let job = |i: usize| {
+            move || {
                 if i == 2 {
                     panic!("injected");
                 }
                 (i as u64) * 10
-            })
+            }
         };
         let run = run_cells("unit", 4, 7, &opts, key_of, job).unwrap();
         assert_eq!(run.report.cells, 4);
@@ -552,28 +533,16 @@ mod tests {
         assert!(run.outcomes[2].value().is_none());
         assert!(root.join("unit").join("journal.jsonl").exists());
 
-        // Resume: completed cells restore (attempts == 0), only the
-        // quarantined one re-runs — and this time it succeeds.
+        // Resume: completed cells restore, only the quarantined one
+        // re-runs — and this time it succeeds.
         let opts = opts.with_resume(true);
-        let job = |i: usize| -> Box<dyn FnOnce() -> u64 + Send + 'static> {
-            Box::new(move || (i as u64) * 10)
-        };
+        let job = |i: usize| move || (i as u64) * 10;
         let run = run_cells("unit", 4, 7, &opts, key_of, job).unwrap();
         assert_eq!(run.report.resume_skips, 3);
         assert_eq!(run.report.executed, 1);
         assert!(run.report.quarantined.is_empty());
         let values: Vec<u64> = run.outcomes.iter().map(|o| *o.value().unwrap()).collect();
         assert_eq!(values, vec![0, 10, 20, 30]);
-        for (i, outcome) in run.outcomes.iter().enumerate() {
-            let CellOutcome::Completed { attempts, .. } = outcome else {
-                panic!("cell {i} must complete: {outcome:?}");
-            };
-            assert_eq!(
-                *attempts,
-                u32::from(i == 2),
-                "cell {i}: restored cells report 0"
-            );
-        }
 
         // A record holds the completed value's own JSON.
         let path = root.join("unit").join("journal.jsonl");
@@ -596,6 +565,49 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_cell_runs_once_and_only_it_reruns_on_resume() {
+        for threads in [1, 4] {
+            let root = temp_root(&format!("once-{threads}"));
+            let _ = std::fs::remove_dir_all(&root);
+            let opts = SweepOpts::serial().with_threads(threads).with_cache(&root);
+            let runs: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
+            let runs_of = || {
+                runs.iter()
+                    .map(|n| n.load(Ordering::SeqCst))
+                    .collect::<Vec<_>>()
+            };
+            let job = |i: usize| {
+                let runs = &runs;
+                move || {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    if i == 2 {
+                        panic!("injected in cell {i}");
+                    }
+                    i as u64
+                }
+            };
+            let key_of = |i: usize| format!("cell-{i}");
+            let run = run_cells("once", 6, 7, &opts, key_of, job).unwrap();
+            assert_eq!(runs_of(), vec![1; 6], "threads {threads}: one run each");
+            let failure = CellFailure {
+                index: 2,
+                cell: "cell-2".to_string(),
+                message: "injected in cell 2".to_string(),
+            };
+            assert_eq!(run.report.quarantined, vec![failure.clone()]);
+            assert_eq!(run.outcomes[2], CellOutcome::Quarantined(failure));
+            assert_eq!(run.report.executed, 6);
+
+            let opts = opts.with_resume(true);
+            let run = run_cells("once", 6, 7, &opts, key_of, job).unwrap();
+            assert_eq!(runs_of(), vec![1, 1, 2, 1, 1, 1], "threads {threads}");
+            assert_eq!((run.report.executed, run.report.resume_skips), (1, 5));
+            assert_eq!(run.report.quarantined.len(), 1);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
+    #[test]
     fn fingerprint_folds_the_model_identity_only_when_journalling() {
         let plain = SweepOpts::serial();
         assert_eq!(plain.fingerprint(7), 7, "no journal: nothing to protect");
@@ -612,8 +624,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         let opts = SweepOpts::serial().with_cache(&root);
         let key_of = |i: usize| format!("c{i}");
-        let job =
-            |i: usize| -> Box<dyn FnOnce() -> u64 + Send + 'static> { Box::new(move || i as u64) };
+        let job = |i: usize| move || i as u64;
         run_cells("fp", 2, 1, &opts, key_of, job).unwrap();
         let run = run_cells("fp", 2, 2, &opts.clone().with_resume(true), key_of, job).unwrap();
         assert_eq!(

@@ -1,6 +1,6 @@
 //! High-level compress / expand helpers over `f32` slices.
 //!
-//! These wrap [`CompressedWriter`] / [`CompressedReader`] for the crate's
+//! These wrap [`CompressedWriter`] / [`CompressedReader`](crate::stream::CompressedReader) for the crate's
 //! default element type (fp32, as in the paper's evaluation) and collect the
 //! summary statistics the experiments need.
 

@@ -24,7 +24,7 @@
 //!    high-level helpers in [`compress`]. These are real, testable
 //!    implementations — what a softwar​e-visible ZCOMP stream would contain.
 //! 2. **Micro-architectural**: every modelled instruction decomposes into
-//!    micro-ops ([`instr::Instr::uops`]) with latencies and throughputs in
+//!    micro-ops ([`instr::Instr::add_uops`]) with latencies and throughputs in
 //!    the style of Agner Fog's instruction tables ([`uops`]), which the
 //!    `zcomp-sim` core models consume for timing.
 //!

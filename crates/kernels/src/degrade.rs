@@ -1,7 +1,8 @@
 //! Data-faithful graceful degradation for one compressed activation layer.
 //!
-//! The simulator injects faults as *events* ([`FaultEvent`]) because its
-//! caches are tag-only. This module closes the loop: it runs a ReLU layer
+//! The simulator injects faults as *events*
+//! ([`FaultEvent`](zcomp_sim::faults::FaultEvent)) because its caches are
+//! tag-only. This module closes the loop: it runs a ReLU layer
 //! whose output actually exists as a [`CompressedStream`], streams the
 //! stream's bytes through the simulated memory system (so the fault probes
 //! roll real trials against its addresses), applies every drained flip to

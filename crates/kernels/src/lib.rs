@@ -4,7 +4,7 @@
 //! * [`relu`] — the three ReLU activation-layer implementations the paper
 //!   compares (Figs. 8–11): the `avx512-vec` baseline, `avx512-comp`
 //!   using existing AVX512 compress/expand instructions, and `zcomp`.
-//! * [`partition`] — the partitioned parallelization of Fig. 7 and the
+//! * [`partition`](mod@partition) — the partitioned parallelization of Fig. 7 and the
 //!   sub-block unrolling of §4.3.
 //! * [`nnz`] — per-vector kept-lane sequences from real or synthetic
 //!   feature maps.

@@ -3,7 +3,7 @@
 //! The default [`run_relu`](crate::relu::run_relu) times phases with the
 //! bulk-throughput roofline model. This module re-executes the same
 //! instruction streams through the cycle-stepped
-//! [`IntervalModel`](zcomp_sim::core::IntervalModel) — per-iteration
+//! [`zcomp_sim::core::IntervalModel`] — per-iteration
 //! dependency chains, MSHR-limited miss overlap — providing an
 //! independent timing estimate used to validate the roofline model
 //! (`ablation_core_models`), exactly the role detailed mode plays in

@@ -24,7 +24,7 @@
 //! collapses the strided access patterns of the kernels to one or two bytes
 //! per address. Consecutive records that are identical up to a constant
 //! per-address stride are run-length encoded: the first record is written
-//! normally and an [`OP_REPEAT`] record follows carrying the remaining
+//! normally and an `OP_REPEAT` record follows carrying the remaining
 //! count and the strides. The reader materializes repeats lazily, one op
 //! per call, so a million-op run costs constant memory on both sides.
 

@@ -8,9 +8,9 @@
 //!   its own module path + name, so runs are reproducible without a
 //!   `proptest-regressions` directory. (Any such directories on disk are
 //!   simply ignored.)
-//! - Strategies are generate-only: a [`Strategy`] maps an RNG to a value.
+//! - Strategies are generate-only: a [`Strategy`](strategy::Strategy) maps an RNG to a value.
 //!
-//! Supported surface: range strategies over ints/floats, [`Just`],
+//! Supported surface: range strategies over ints/floats, [`Just`](strategy::Just),
 //! `prop_map`, `prop_oneof!` (weighted and unweighted), `collection::vec`,
 //! `proptest!` with optional `#![proptest_config(...)]`, `prop_assert!`,
 //! `prop_assert_eq!`, and `prop_assert_ne!`.
@@ -235,7 +235,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use super::*;
 
-    /// Element-count bound accepted by [`vec`].
+    /// Element-count bound accepted by [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
