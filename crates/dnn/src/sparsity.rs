@@ -252,6 +252,68 @@ impl TenantDrift {
     }
 }
 
+/// The two-state Markov chain behind [`generate_activations`] and
+/// [`generate_activation_nnz`]: one sampler, so both make the same RNG
+/// draws in the same order.
+struct ActivationChain {
+    rng: SmallRng,
+    in_zero: bool,
+    p_exit_zero: f64,
+    p_enter_zero: f64,
+}
+
+impl ActivationChain {
+    fn new(sparsity: f64, mean_run: f64, seed: u64) -> Self {
+        assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
+        assert!(mean_run >= 1.0, "mean run length must be >= 1");
+        let mut rng = SmallRng::seed_from_u64(seed);
+        // Exit probability of the zero state sets the mean zero-run
+        // length; the entry probability is solved so the stationary zero
+        // fraction equals `sparsity`. High sparsity forces a feasibility
+        // floor on the run length: the stationary zero fraction is at
+        // most mean_run/(mean_run+1), so runs must average at least
+        // s/(1-s) — physically, very sparse maps have long zero runs.
+        let mean_run = if sparsity < 1.0 {
+            mean_run.max(sparsity / (1.0 - sparsity) * 1.05)
+        } else {
+            mean_run
+        };
+        let p_exit_zero = 1.0 / mean_run;
+        let p_enter_zero = if sparsity >= 1.0 {
+            1.0
+        } else {
+            (sparsity * p_exit_zero / (1.0 - sparsity)).min(1.0)
+        };
+        let in_zero = rng.gen_bool(sparsity.clamp(0.0, 1.0));
+        ActivationChain {
+            rng,
+            in_zero,
+            p_exit_zero: p_exit_zero.clamp(0.0, 1.0),
+            p_enter_zero: p_enter_zero.clamp(0.0, 1.0),
+        }
+    }
+
+    /// The next element: `None` in the zero state, else a positive
+    /// magnitude. Inlined so a caller that only counts `Some`s drops the
+    /// float arithmetic but keeps every draw.
+    #[inline(always)]
+    fn step(&mut self) -> Option<f32> {
+        if self.in_zero {
+            if self.rng.gen_bool(self.p_exit_zero) {
+                self.in_zero = false;
+            }
+            None
+        } else {
+            // Positive activation magnitudes, roughly half-normal.
+            let v = self.rng.gen_range(0.0f32..1.0).max(1e-3) * self.rng.gen_range(0.1f32..2.0);
+            if self.rng.gen_bool(self.p_enter_zero) {
+                self.in_zero = true;
+            }
+            Some(v)
+        }
+    }
+}
+
 /// Generates a post-ReLU activation buffer with the target `sparsity` and
 /// spatially-clustered zero runs (mean run length `mean_run`).
 ///
@@ -263,44 +325,8 @@ impl TenantDrift {
 ///
 /// Panics if `sparsity` is outside `[0, 1]` or `mean_run < 1`.
 pub fn generate_activations(elements: usize, sparsity: f64, mean_run: f64, seed: u64) -> Vec<f32> {
-    assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
-    assert!(mean_run >= 1.0, "mean run length must be >= 1");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut out = Vec::with_capacity(elements);
-    // Two-state Markov chain: exit probability of the zero state sets the
-    // mean zero-run length; the entry probability is solved so the
-    // stationary zero fraction equals `sparsity`. High sparsity forces a
-    // feasibility floor on the run length: the stationary zero fraction
-    // is at most mean_run/(mean_run+1), so runs must average at least
-    // s/(1-s) — physically, very sparse maps have long zero runs.
-    let mean_run = if sparsity < 1.0 {
-        mean_run.max(sparsity / (1.0 - sparsity) * 1.05)
-    } else {
-        mean_run
-    };
-    let p_exit_zero = 1.0 / mean_run;
-    let p_enter_zero = if sparsity >= 1.0 {
-        1.0
-    } else {
-        (sparsity * p_exit_zero / (1.0 - sparsity)).min(1.0)
-    };
-    let mut in_zero = rng.gen_bool(sparsity.clamp(0.0, 1.0));
-    for _ in 0..elements {
-        if in_zero {
-            out.push(0.0);
-            if rng.gen_bool(p_exit_zero.clamp(0.0, 1.0)) {
-                in_zero = false;
-            }
-        } else {
-            // Positive activation magnitudes, roughly half-normal.
-            let v: f32 = rng.gen_range(0.0f32..1.0).max(1e-3) * rng.gen_range(0.1f32..2.0);
-            out.push(v);
-            if rng.gen_bool(p_enter_zero.clamp(0.0, 1.0)) {
-                in_zero = true;
-            }
-        }
-    }
-    out
+    let mut chain = ActivationChain::new(sparsity, mean_run, seed);
+    (0..elements).map(|_| chain.step().unwrap_or(0.0)).collect()
 }
 
 /// Streams the [`generate_activations`] Markov chain directly into
@@ -308,11 +334,11 @@ pub fn generate_activations(elements: usize, sparsity: f64, mean_run: f64, seed:
 /// the `f32` buffer.
 ///
 /// Draw-for-draw identical to `generate_activations` followed by counting
-/// nonzero lanes per 16-element vector: the chain makes the same RNG calls
-/// in the same order, and a generated value is nonzero exactly when the
-/// chain is in the nonzero state (magnitudes are bounded below by 1e-4).
-/// A trailing partial vector counts only its real elements, matching the
-/// zero-padded tail of the buffer path.
+/// nonzero lanes per 16-element vector: both run the same chain, and a
+/// generated value is nonzero exactly when the chain is in the nonzero
+/// state (magnitudes are bounded below by 1e-4). A trailing partial
+/// vector counts only its real elements, matching the zero-padded tail of
+/// the buffer path.
 pub fn generate_activation_nnz(
     elements: usize,
     sparsity: f64,
@@ -320,41 +346,15 @@ pub fn generate_activation_nnz(
     seed: u64,
     out: &mut Vec<u8>,
 ) {
-    assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
-    assert!(mean_run >= 1.0, "mean run length must be >= 1");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mean_run = if sparsity < 1.0 {
-        mean_run.max(sparsity / (1.0 - sparsity) * 1.05)
-    } else {
-        mean_run
-    };
-    let p_exit_zero = 1.0 / mean_run;
-    let p_enter_zero = if sparsity >= 1.0 {
-        1.0
-    } else {
-        (sparsity * p_exit_zero / (1.0 - sparsity)).min(1.0)
-    };
-    let p_exit = p_exit_zero.clamp(0.0, 1.0);
-    let p_enter = p_enter_zero.clamp(0.0, 1.0);
-    let mut in_zero = rng.gen_bool(sparsity.clamp(0.0, 1.0));
+    let mut chain = ActivationChain::new(sparsity, mean_run, seed);
     out.reserve(elements.div_ceil(16));
     let mut produced = 0usize;
     while produced < elements {
         let lanes = 16.min(elements - produced);
         let mut nnz = 0u8;
         for _ in 0..lanes {
-            if in_zero {
-                if rng.gen_bool(p_exit) {
-                    in_zero = false;
-                }
-            } else {
-                // Advance the generator exactly as the buffer path's
-                // magnitude draws do; the value itself is discarded.
-                let _ = rng.gen_range(0.0f32..1.0).max(1e-3) * rng.gen_range(0.1f32..2.0);
+            if chain.step().is_some() {
                 nnz += 1;
-                if rng.gen_bool(p_enter) {
-                    in_zero = true;
-                }
             }
         }
         out.push(nnz);

@@ -116,13 +116,10 @@ pub fn compress_f32_with_backend(
         });
     }
     let stream = match backend {
-        CodecBackend::Native => {
-            match native::compress_to_stream(native::f32_as_bytes(data), ElemType::F32, cond, mode)
-            {
-                Some(stream) => stream,
-                None => compress_f32_scalar(data, cond, mode)?,
-            }
-        }
+        CodecBackend::Native => match native::compress_to_stream(data, cond, mode) {
+            Some(stream) => stream,
+            None => compress_f32_scalar(data, cond, mode)?,
+        },
         CodecBackend::Scalar => compress_f32_scalar(data, cond, mode)?,
     };
     if zcomp_trace::tracer::enabled() {
@@ -160,7 +157,8 @@ fn compress_f32_scalar(
 ///
 /// # Errors
 ///
-/// Returns [`ZcompError::Truncated`] if the stream is malformed.
+/// Returns [`ZcompError::ElemTypeMismatch`] if the stream is not fp32,
+/// or [`ZcompError::Truncated`] if it is malformed.
 pub fn expand_f32(stream: &CompressedStream) -> Result<Vec<f32>, ZcompError> {
     let _span = zcomp_trace::tracer::span("isa", "expand_f32");
     let mut out = vec![0.0f32; stream.elements()];
@@ -174,8 +172,9 @@ pub fn expand_f32(stream: &CompressedStream) -> Result<Vec<f32>, ZcompError> {
 ///
 /// # Errors
 ///
-/// Returns [`ZcompError::DestinationTooSmall`] if `dst` cannot hold the
-/// stream's elements, or [`ZcompError::Truncated`] for a malformed stream.
+/// Returns [`ZcompError::ElemTypeMismatch`] if the stream is not fp32,
+/// [`ZcompError::DestinationTooSmall`] if `dst` cannot hold the stream's
+/// elements, or [`ZcompError::Truncated`] for a malformed stream.
 pub fn expand_f32_into(stream: &CompressedStream, dst: &mut [f32]) -> Result<usize, ZcompError> {
     expand_f32_into_with_backend(stream, dst, CodecBackend::detect())
 }
@@ -185,14 +184,21 @@ pub fn expand_f32_into(stream: &CompressedStream, dst: &mut [f32]) -> Result<usi
 ///
 /// # Errors
 ///
-/// Returns [`ZcompError::DestinationTooSmall`] if `dst` cannot hold the
-/// stream's elements, or [`ZcompError::Truncated`] for a malformed stream.
+/// Returns [`ZcompError::ElemTypeMismatch`] if the stream is not fp32,
+/// [`ZcompError::DestinationTooSmall`] if `dst` cannot hold the stream's
+/// elements, or [`ZcompError::Truncated`] for a malformed stream.
 pub fn expand_f32_into_with_backend(
     stream: &CompressedStream,
     dst: &mut [f32],
     backend: CodecBackend,
 ) -> Result<usize, ZcompError> {
     let _span = zcomp_trace::tracer::span("isa", "expand_f32_into");
+    if stream.elem_type() != ElemType::F32 {
+        return Err(ZcompError::ElemTypeMismatch {
+            expected: ElemType::F32,
+            found: stream.elem_type(),
+        });
+    }
     let needed = stream.elements();
     if dst.len() < needed {
         return Err(ZcompError::DestinationTooSmall {
@@ -201,8 +207,7 @@ pub fn expand_f32_into_with_backend(
         });
     }
     if backend == CodecBackend::Native {
-        let bytes = native::f32_as_bytes_mut(&mut dst[..needed]);
-        if let Some(result) = native::expand_into(stream, bytes) {
+        if let Some(result) = native::expand_into(stream, &mut dst[..needed]) {
             result?;
             return Ok(needed);
         }
@@ -266,6 +271,31 @@ mod tests {
                 available: 16
             }
         );
+    }
+
+    #[test]
+    fn expanding_a_non_f32_stream_is_a_typed_error_on_every_backend() {
+        // Four fp16 vectors: 128 elements in 256 bytes, so neither the
+        // element count nor the byte size matches an fp32 reading.
+        let mut w = CompressedWriter::new(ElemType::F16, HeaderMode::Interleaved);
+        let mut v = Vec512::ZERO;
+        v.set_lane_bytes(ElemType::F16, 3, &0x3C00u16.to_le_bytes());
+        for _ in 0..4 {
+            w.write_vector(&v, CompareCond::Eqz).unwrap();
+        }
+        let stream = w.finish();
+        assert_eq!(stream.elements(), 128);
+        let expected = ZcompError::ElemTypeMismatch {
+            expected: ElemType::F32,
+            found: ElemType::F16,
+        };
+        for backend in [CodecBackend::Scalar, CodecBackend::Native] {
+            let mut dst = vec![-1.0f32; 512];
+            let err = expand_f32_into_with_backend(&stream, &mut dst, backend).unwrap_err();
+            assert_eq!(err, expected, "{backend}");
+            assert!(dst.iter().all(|&x| x == -1.0), "{backend} wrote into dst");
+        }
+        assert_eq!(expand_f32(&stream).unwrap_err(), expected);
     }
 
     #[test]

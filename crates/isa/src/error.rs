@@ -1,5 +1,7 @@
 //! Error type for functional ZCOMP stream operations.
 
+use crate::dtype::ElemType;
+
 /// Errors produced by compressing to or expanding from a ZCOMP stream.
 ///
 /// In hardware these conditions surface as memory protection violations
@@ -49,6 +51,14 @@ pub enum ZcompError {
         needed: usize,
         /// Elements the destination can hold.
         available: usize,
+    },
+    /// The stream's element type is not the one the caller decodes it as
+    /// (for example an fp16 stream handed to an fp32 expand).
+    ElemTypeMismatch {
+        /// Element type the operation decodes.
+        expected: ElemType,
+        /// Element type the stream was written with.
+        found: ElemType,
     },
     /// A per-vector header is inconsistent with the stream bounds: its
     /// keep-mask declares a packed payload that runs past the end of the
@@ -133,6 +143,10 @@ impl std::fmt::Display for ZcompError {
             ZcompError::DestinationTooSmall { needed, available } => write!(
                 f,
                 "expansion destination too small: needed {needed} elements, {available} available"
+            ),
+            ZcompError::ElemTypeMismatch { expected, found } => write!(
+                f,
+                "element type mismatch: expected an {expected} stream, found {found}"
             ),
             ZcompError::CorruptHeader { vector, offset } => write!(
                 f,

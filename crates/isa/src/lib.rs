@@ -44,7 +44,6 @@
 //! ```
 
 pub mod alignment;
-pub mod buffer;
 pub mod ccf;
 pub mod compress;
 pub mod dtype;
@@ -68,7 +67,7 @@ pub use header::Header;
 pub use instr::{AccessKind, Instr, MemAccess};
 pub use integrity::{desync_impact, CorruptionSite, DesyncImpact, StreamChecksum, StreamRegion};
 pub use mask::LaneMask;
-pub use native::{detect_backend, native_isa, CodecBackend};
+pub use native::{native_isa, CodecBackend};
 pub use program::{BatchLane, Cursors, InstrProgram, ProgramOp, Reg};
 pub use stream::{CompressedReader, CompressedStream, CompressedWriter, HeaderMode};
 pub use uops::{Uop, UopCounts, UopKind, UopTable};

@@ -682,6 +682,90 @@ mod tests {
         assert!(s.compression_ratio() < 1.0);
     }
 
+    /// Writes raw little-endian `ty` lanes through the writer.
+    fn write_raw(
+        data: &[u8],
+        ty: ElemType,
+        cond: CompareCond,
+        mode: HeaderMode,
+    ) -> CompressedStream {
+        let mut w = CompressedWriter::new(ty, mode);
+        for chunk in data.chunks_exact(VECTOR_BYTES) {
+            let mut v = Vec512::ZERO;
+            v.as_bytes_mut().copy_from_slice(chunk);
+            w.write_vector(&v, cond).unwrap();
+        }
+        w.finish()
+    }
+
+    /// Reads every vector of `s` back as raw bytes.
+    fn read_raw(s: &CompressedStream) -> Vec<u8> {
+        let mut r = s.reader();
+        let mut out = Vec::new();
+        while let Some(v) = r.read_vector().unwrap() {
+            out.extend_from_slice(v.as_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn every_dtype_cond_and_mode_round_trips() {
+        // Four vectors per type: every third lane zero, the others
+        // nonzero in every byte view, with the sign bit set on odd lanes.
+        for ty in ElemType::ALL {
+            let es = ty.size_bytes();
+            let mut data = vec![0u8; 4 * VECTOR_BYTES];
+            for (k, lane) in data.chunks_mut(es).enumerate() {
+                if k % 3 != 0 {
+                    lane.fill((k * 7 % 251) as u8 | 1);
+                    lane[es - 1] = (lane[es - 1] & 0x7F) | (((k % 2) as u8) << 7);
+                }
+            }
+            for mode in [HeaderMode::Interleaved, HeaderMode::Separate] {
+                let eqz = write_raw(&data, ty, CompareCond::Eqz, mode);
+                assert_eq!(read_raw(&eqz), data, "{ty}/Eqz/{mode} is lossless");
+                assert_eq!(eqz.vectors(), 4);
+                assert_eq!(
+                    eqz.compressed_bytes(),
+                    4 * ty.header_bytes() + eqz.total_nnz() as usize * es,
+                    "{ty}/{mode}"
+                );
+
+                let ltez = write_raw(&data, ty, CompareCond::Ltez, mode);
+                assert!(ltez.total_nnz() < eqz.total_nnz(), "{ty}/{mode}");
+                let mut expected = data.clone();
+                for chunk in expected.chunks_mut(VECTOR_BYTES) {
+                    let mut v = Vec512::ZERO;
+                    v.as_bytes_mut().copy_from_slice(chunk);
+                    let keep = CompareCond::Ltez.keep_mask(&v, ty);
+                    for (i, lane) in chunk.chunks_mut(es).enumerate() {
+                        if !keep.is_set(i) {
+                            lane.fill(0);
+                        }
+                    }
+                }
+                assert_eq!(read_raw(&ltez), expected, "{ty}/Ltez/{mode}");
+            }
+        }
+    }
+
+    #[test]
+    fn header_overhead_ranks_by_lane_count() {
+        // Incompressible data: narrower types pay bigger headers.
+        let ratio = |data: &[u8], ty| {
+            write_raw(data, ty, CompareCond::Eqz, HeaderMode::Interleaved).compression_ratio()
+        };
+        let dense = [0x7Fu8; 2 * VECTOR_BYTES];
+        assert!(ratio(&dense, ElemType::F64) > ratio(&dense, ElemType::F32));
+        assert!(ratio(&dense, ElemType::F32) > ratio(&dense, ElemType::I8));
+        // All-zero data: each vector stores only its header.
+        let zeros = [0u8; 2 * VECTOR_BYTES];
+        for ty in ElemType::ALL {
+            let expected = (VECTOR_BYTES / ty.header_bytes()) as f64;
+            assert!((ratio(&zeros, ty) - expected).abs() < 1e-12, "{ty}");
+        }
+    }
+
     #[test]
     fn i8_roundtrip() {
         let mut w = CompressedWriter::new(ElemType::I8, HeaderMode::Interleaved);

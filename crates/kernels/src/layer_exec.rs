@@ -13,7 +13,6 @@ use zcomp_isa::instr::Instr;
 use zcomp_isa::stream::HeaderMode;
 use zcomp_isa::uops::UopCounts;
 use zcomp_sim::engine::Machine;
-use zcomp_sim::faults::FaultEvent;
 
 use crate::partition::partition;
 
@@ -237,155 +236,6 @@ pub fn stream_feature_map(
             &UopCounts::new(),
         );
     }
-}
-
-/// Counters of the retry-then-fallback degradation policy applied by
-/// [`stream_feature_map_checked`] to compressed feature-map reads.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DegradeSummary {
-    /// Compressed feature-map reads that went through an integrity check.
-    pub checked_reads: u64,
-    /// Checked reads whose region was struck by at least one fault event.
-    pub corrupted_reads: u64,
-    /// Retry re-reads performed (one per corrupted read).
-    pub retries: u64,
-    /// Reads abandoned to the uncompressed fallback path.
-    pub fallbacks: u64,
-    /// Extra bytes streamed by retry re-reads.
-    pub retry_extra_bytes: u64,
-    /// Extra bytes streamed by uncompressed fallback re-reads.
-    pub fallback_extra_bytes: u64,
-}
-
-impl DegradeSummary {
-    /// Total extra bytes the degradation policy moved beyond a clean run.
-    pub fn extra_bytes(&self) -> u64 {
-        self.retry_extra_bytes + self.fallback_extra_bytes
-    }
-
-    /// Accumulates another summary into this one.
-    pub fn merge(&mut self, other: &DegradeSummary) {
-        self.checked_reads += other.checked_reads;
-        self.corrupted_reads += other.corrupted_reads;
-        self.retries += other.retries;
-        self.fallbacks += other.fallbacks;
-        self.retry_extra_bytes += other.retry_extra_bytes;
-        self.fallback_extra_bytes += other.fallback_extra_bytes;
-    }
-}
-
-/// [`stream_feature_map`] (read direction) with the integrity-check and
-/// degradation policy applied at region granularity.
-///
-/// After the read, the machine's pending fault events are drained; any
-/// event whose flipped byte lands inside the map's stored data (or
-/// separate header array) counts as a detected corruption — the ISA
-/// layer's validators catch every single-bit flip under the
-/// separate-header + CRC32 policy, and `crate::degrade` exercises the
-/// real byte-level checks. A corrupted read retries once (charged to the
-/// machine); if any hit was persistent (array corruption,
-/// [`zcomp_sim::faults::FaultSite::is_transient`] false) or the retry was
-/// struck again, the read falls back to streaming the full uncompressed
-/// allocation. Detections are reported to the machine's per-site
-/// counters; all overhead accrues to `degrade`.
-///
-/// Events striking addresses outside the map (weights, uncompressed
-/// buffers) are dropped: uncompressed data has no integrity metadata, so
-/// that exposure is identical to the baseline's.
-#[allow(clippy::too_many_arguments)]
-pub fn stream_feature_map_checked(
-    machine: &mut Machine,
-    threads: usize,
-    data_region: Region,
-    header_region: Option<Region>,
-    alloc_bytes: u64,
-    sparsity: f64,
-    scheme: Scheme,
-    degrade: &mut DegradeSummary,
-) {
-    stream_feature_map(
-        machine,
-        threads,
-        data_region,
-        header_region,
-        alloc_bytes,
-        sparsity,
-        scheme,
-        false,
-    );
-    if scheme == Scheme::None || alloc_bytes == 0 {
-        return;
-    }
-    degrade.checked_reads += 1;
-    let stored = stored_bytes(alloc_bytes, sparsity, scheme);
-    let header_bytes = separate_header_bytes(alloc_bytes);
-    let hits = drain_region_hits(machine, data_region, stored, header_region, header_bytes);
-    if hits.is_empty() {
-        return;
-    }
-    degrade.corrupted_reads += 1;
-    for e in &hits {
-        machine.record_fault_detection(e.site);
-    }
-    // Retry once: transient (in-flight) corruption clears on a re-read;
-    // array corruption does not.
-    degrade.retries += 1;
-    zcomp_trace::tracer::instant("kernels", "degrade.retry");
-    stream_feature_map(
-        machine,
-        threads,
-        data_region,
-        header_region,
-        alloc_bytes,
-        sparsity,
-        scheme,
-        false,
-    );
-    degrade.retry_extra_bytes += stored;
-    let retry_hits = drain_region_hits(machine, data_region, stored, header_region, header_bytes);
-    for e in &retry_hits {
-        machine.record_fault_detection(e.site);
-    }
-    let persists = hits.iter().any(|e| !e.site.is_transient()) || !retry_hits.is_empty();
-    if persists {
-        degrade.fallbacks += 1;
-        zcomp_trace::tracer::instant("kernels", "degrade.fallback");
-        zcomp_trace::log_warn!(
-            "persistent corruption on feature map at {:#x}: falling back to uncompressed re-read",
-            data_region.base
-        );
-        stream_feature_map(
-            machine,
-            threads,
-            data_region,
-            None,
-            alloc_bytes,
-            0.0,
-            Scheme::None,
-            false,
-        );
-        degrade.fallback_extra_bytes += alloc_bytes;
-    }
-}
-
-/// Drains pending fault events and keeps those that struck the stored
-/// data region or the separate header array.
-fn drain_region_hits(
-    machine: &mut Machine,
-    data_region: Region,
-    stored: u64,
-    header_region: Option<Region>,
-    header_bytes: u64,
-) -> Vec<FaultEvent> {
-    machine
-        .drain_fault_events()
-        .into_iter()
-        .filter(|e| {
-            let addr = e.addr();
-            (addr >= data_region.base && addr < data_region.base + stored)
-                || header_region.is_some_and(|h| addr >= h.base && addr < h.base + header_bytes)
-        })
-        .collect()
 }
 
 /// Streams the weight buffer, partitioned across threads: blocked

@@ -10,11 +10,10 @@
 //!   feature maps.
 //! * [`layer_exec`] / [`network_exec`] — bulk layer streaming and
 //!   end-to-end network execution (forward + backward) with optional
-//!   cross-layer compression and a retry-then-fallback degradation
-//!   policy under fault injection.
-//! * [`degrade`] — data-faithful single-layer fault handling: real
-//!   compressed streams, injected bit flips, validation, retry, and the
-//!   bit-exact uncompressed fallback.
+//!   cross-layer compression.
+//! * [`degrade`] — the retry-then-fallback policy under fault injection:
+//!   real fp32 compressed streams, injected bit flips, validation, retry,
+//!   and the bit-exact uncompressed fallback, one layer at a time.
 //!
 //! # Example
 //!
@@ -40,9 +39,7 @@ pub mod relu;
 pub mod relu_interval;
 
 pub use degrade::{run_layer_faulted, DegradeOpts, FaultyLayerReport, LayerOutcome};
-pub use layer_exec::{DegradeSummary, Scheme};
-pub use network_exec::{
-    run_network, run_network_faulted, FaultedNetworkRunResult, NetworkExecOpts, NetworkRunResult,
-};
+pub use layer_exec::Scheme;
+pub use network_exec::{run_network, NetworkExecOpts, NetworkRunResult};
 pub use partition::{partition, Chunk, Parallelization};
 pub use relu::{run_relu, run_relu_with_path, ExecPath, ReluOpts, ReluRunResult, ReluScheme};

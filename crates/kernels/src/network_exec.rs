@@ -14,12 +14,9 @@ use serde::{Deserialize, Serialize};
 use zcomp_dnn::network::Network;
 use zcomp_dnn::sparsity::SparsityProfile;
 use zcomp_sim::engine::{Machine, PhaseMode, RunSummary};
-use zcomp_sim::faults::FaultConfig;
-use zcomp_sim::stats::FaultStats;
 
 use crate::layer_exec::{
-    separate_header_bytes, stream_feature_map, stream_feature_map_checked, stream_weights,
-    AddressSpace, DegradeSummary, Region, Scheme,
+    separate_header_bytes, stream_feature_map, stream_weights, AddressSpace, Region, Scheme,
 };
 
 /// Options for a network run.
@@ -59,17 +56,6 @@ pub struct NetworkRunResult {
     pub phase_cycles: Vec<f64>,
 }
 
-/// Result of one network step under fault injection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultedNetworkRunResult {
-    /// The step's timing/traffic result (degradation overhead included).
-    pub run: NetworkRunResult,
-    /// Retry/fallback counters of the degradation policy.
-    pub degrade: DegradeSummary,
-    /// Per-site injection and detection counters.
-    pub fault_stats: FaultStats,
-}
-
 /// Runs one step (forward, plus backward when training) of `net` on the
 /// machine.
 ///
@@ -82,86 +68,6 @@ pub fn run_network(
     net: &Network,
     profile: &SparsityProfile,
     opts: &NetworkExecOpts,
-) -> NetworkRunResult {
-    run_network_inner(machine, net, profile, opts, None)
-}
-
-/// [`run_network`] with fault injection armed and the retry-then-fallback
-/// degradation policy applied to every compressed feature-map read.
-///
-/// Probes for every site with a non-zero rate in `faults` are attached to
-/// the machine before the step; detections, retries and fallbacks accrue
-/// to the returned [`DegradeSummary`] and the machine's per-site counters.
-/// With every rate zero this is byte-identical to [`run_network`].
-///
-/// # Panics
-///
-/// Panics if the profile length does not match the layer count, or the
-/// thread count exceeds the machine's cores.
-pub fn run_network_faulted(
-    machine: &mut Machine,
-    net: &Network,
-    profile: &SparsityProfile,
-    opts: &NetworkExecOpts,
-    faults: &FaultConfig,
-) -> FaultedNetworkRunResult {
-    machine.attach_faults(faults);
-    machine.drain_fault_events();
-    let mut degrade = DegradeSummary::default();
-    let run = run_network_inner(machine, net, profile, opts, Some(&mut degrade));
-    // Events that never intersected a checked compressed read struck
-    // uncompressed data (baseline-equivalent exposure) — drop them.
-    machine.drain_fault_events();
-    FaultedNetworkRunResult {
-        run,
-        degrade,
-        fault_stats: machine.fault_stats(),
-    }
-}
-
-/// Reads a feature map, routing through the integrity-checked path when a
-/// degradation summary is being collected.
-#[allow(clippy::too_many_arguments)]
-fn read_feature_map(
-    machine: &mut Machine,
-    threads: usize,
-    data_region: Region,
-    header_region: Option<Region>,
-    alloc_bytes: u64,
-    sparsity: f64,
-    scheme: Scheme,
-    degrade: &mut Option<&mut DegradeSummary>,
-) {
-    match degrade {
-        Some(d) => stream_feature_map_checked(
-            machine,
-            threads,
-            data_region,
-            header_region,
-            alloc_bytes,
-            sparsity,
-            scheme,
-            d,
-        ),
-        None => stream_feature_map(
-            machine,
-            threads,
-            data_region,
-            header_region,
-            alloc_bytes,
-            sparsity,
-            scheme,
-            false,
-        ),
-    }
-}
-
-fn run_network_inner(
-    machine: &mut Machine,
-    net: &Network,
-    profile: &SparsityProfile,
-    opts: &NetworkExecOpts,
-    mut degrade: Option<&mut DegradeSummary>,
 ) -> NetworkRunResult {
     let _span = zcomp_trace::tracer::span("kernels", "run_network");
     assert_eq!(
@@ -250,7 +156,7 @@ fn run_network_inner(
                 opts.scheme,
             )
         };
-        read_feature_map(
+        stream_feature_map(
             machine,
             opts.threads,
             in_region,
@@ -258,7 +164,7 @@ fn run_network_inner(
             in_alloc,
             in_sparsity,
             in_scheme,
-            &mut degrade,
+            false,
         );
         stream_weights(machine, opts.threads, weight_regions[i]);
         let compute = layer.flops() as f64 / (opts.threads as f64 * flops_budget);
@@ -296,7 +202,7 @@ fn run_network_inner(
             // forward activation's zero pattern (ReLU backward).
             let gin = if i % 2 == 0 { grad_a } else { grad_b };
             let gin_h = if i % 2 == 0 { gh_a } else { gh_b };
-            read_feature_map(
+            stream_feature_map(
                 machine,
                 opts.threads,
                 gin,
@@ -304,11 +210,11 @@ fn run_network_inner(
                 out_alloc,
                 out_sparsity,
                 opts.scheme,
-                &mut degrade,
+                false,
             );
             // Long-term reuse: the stored forward feature map is re-read
             // to compute weight gradients.
-            read_feature_map(
+            stream_feature_map(
                 machine,
                 opts.threads,
                 fm_regions[i],
@@ -316,7 +222,7 @@ fn run_network_inner(
                 out_alloc,
                 out_sparsity,
                 opts.scheme,
-                &mut degrade,
+                false,
             );
             stream_weights(machine, opts.threads, weight_regions[i]);
             let compute = layer.flops() as f64 * opts.backward_flop_factor
@@ -487,87 +393,6 @@ mod tests {
             train_red > infer_red,
             "training reduction {train_red} vs inference {infer_red}"
         );
-    }
-
-    #[test]
-    fn zero_rate_faulted_run_matches_clean_run() {
-        let net = ModelId::Resnet32.build(2);
-        let profile = SparsityModel::default().profile(&net, 50);
-        let opts = NetworkExecOpts {
-            scheme: Scheme::Zcomp,
-            ..NetworkExecOpts::default()
-        };
-        let mut clean_machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
-        let clean = run_network(&mut clean_machine, &net, &profile, &opts);
-        let mut faulted_machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
-        let f = run_network_faulted(
-            &mut faulted_machine,
-            &net,
-            &profile,
-            &opts,
-            &zcomp_sim::faults::FaultConfig::off(1),
-        );
-        assert_eq!(f.run, clean, "rate 0 must not perturb the run");
-        assert!(f.degrade.checked_reads > 0);
-        assert_eq!(f.degrade.corrupted_reads, 0);
-        assert_eq!(f.degrade.extra_bytes(), 0);
-        assert_eq!(f.fault_stats.total_injected(), 0);
-    }
-
-    #[test]
-    fn injected_faults_degrade_gracefully_with_overhead() {
-        let net = ModelId::Resnet32.build(2);
-        let profile = SparsityModel::default().profile(&net, 50);
-        let opts = NetworkExecOpts {
-            scheme: Scheme::Zcomp,
-            ..NetworkExecOpts::default()
-        };
-        let mut clean_machine = Machine::new(SimConfig::table1(), UopTable::skylake_x());
-        let clean = run_network(&mut clean_machine, &net, &profile, &opts);
-        let mut m = Machine::new(SimConfig::table1(), UopTable::skylake_x());
-        let f = run_network_faulted(
-            &mut m,
-            &net,
-            &profile,
-            &opts,
-            &zcomp_sim::faults::FaultConfig::uniform(1e-3, 42),
-        );
-        assert!(f.fault_stats.total_injected() > 0);
-        assert!(f.degrade.corrupted_reads > 0, "degrade {:?}", f.degrade);
-        assert!(f.degrade.retries > 0);
-        assert!(
-            f.degrade.fallbacks > 0,
-            "persistent sites must force fallbacks"
-        );
-        assert!(f.degrade.extra_bytes() > 0);
-        assert!(f.fault_stats.total_detected() > 0);
-        assert!(
-            f.run.summary.wall_cycles > clean.summary.wall_cycles,
-            "degradation overhead must show up in wall cycles: {} vs {}",
-            f.run.summary.wall_cycles,
-            clean.summary.wall_cycles
-        );
-    }
-
-    #[test]
-    fn faulted_run_replays_deterministically() {
-        let net = ModelId::Resnet32.build(1);
-        let profile = SparsityModel::default().profile(&net, 50);
-        let opts = NetworkExecOpts {
-            scheme: Scheme::Zcomp,
-            ..NetworkExecOpts::default()
-        };
-        let run = || {
-            let mut m = Machine::new(SimConfig::table1(), UopTable::skylake_x());
-            run_network_faulted(
-                &mut m,
-                &net,
-                &profile,
-                &opts,
-                &zcomp_sim::faults::FaultConfig::uniform(5e-4, 7),
-            )
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]
