@@ -349,18 +349,22 @@ mod tests {
     }
 
     #[test]
-    fn curves_carry_registry_percentiles() {
+    fn curve_percentiles_are_ordered() {
         let r = quick();
         for curve in [&r.rows[0].uncompressed, &r.rows[0].compressed] {
             assert!(!curve.points.is_empty());
             for p in &curve.points {
-                let hist = p
-                    .metrics
-                    .histograms
-                    .iter()
-                    .find(|h| h.name == zcomp_trace::serve::names::LATENCY_US)
-                    .expect("latency histogram present");
-                assert_eq!(hist.p99, p.p99_us, "p99 comes from the registry");
+                assert!(
+                    p.p50_us <= p.p95_us && p.p95_us <= p.p99_us,
+                    "{} qps: p50 {} p95 {} p99 {}",
+                    p.offered_qps,
+                    p.p50_us,
+                    p.p95_us,
+                    p.p99_us
+                );
+                for c in &p.classes {
+                    assert!(c.p50_us <= c.p99_us, "{} qps {:?}", p.offered_qps, c);
+                }
             }
         }
     }

@@ -665,6 +665,35 @@ mod tests {
         );
     }
 
+    /// The claims EXPERIMENTS makes of the committed
+    /// `results/serve_chaos.json`, which CI regenerates and `cmp`s, so
+    /// this reads the code's own output: degraded goodput is at least
+    /// hard-fail goodput at fault rates 0.1 and 0.2 (not at 0.05, where
+    /// the two nearly tie), and no degraded request ever hard-fails.
+    #[test]
+    fn committed_record_keeps_the_degrade_claims() {
+        let r: ChaosResult =
+            serde_json::from_str(include_str!("../../../../results/serve_chaos.json"))
+                .expect("the committed chaos record parses");
+        assert!(r.quarantined.is_empty(), "{:?}", r.quarantined);
+        for rate in [0.1, 0.2] {
+            let deg = r.point(rate, ChaosMode::Degraded).expect("degraded cell");
+            let hard = r.point(rate, ChaosMode::HardFail).expect("hard-fail cell");
+            assert!(
+                deg.goodput_qps >= hard.goodput_qps,
+                "fault rate {rate}: degraded {} < hard-fail {}",
+                deg.goodput_qps,
+                hard.goodput_qps
+            );
+        }
+        let degraded = r.cells.iter().filter(|c| c.mode == ChaosMode::Degraded);
+        assert_eq!(
+            degraded.count(),
+            ChaosGridSpec::default_grid().fault_rates.len()
+        );
+        assert!(r.degraded_never_hard_fails());
+    }
+
     #[test]
     fn tables_render() {
         let r = quick();

@@ -1,4 +1,4 @@
-//! Result tables: typed rows rendered as aligned text or CSV.
+//! Result tables: typed rows rendered as aligned text.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +13,6 @@ use serde::{Deserialize, Serialize};
 /// t.row(["alexnet", "1.11"]);
 /// let text = t.render();
 /// assert!(text.contains("alexnet"));
-/// assert!(t.to_csv().starts_with("net,speedup"));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Table {
@@ -85,18 +84,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (headers first).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Geometric mean of a non-empty slice of positive values.
@@ -164,13 +151,6 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         Table::new("t", &["a"]).row(["1", "2"]);
-    }
-
-    #[test]
-    fn csv_roundtrip_structure() {
-        let mut t = Table::new("t", &["x", "y"]);
-        t.row(["1", "2"]);
-        assert_eq!(t.to_csv(), "x,y\n1,2\n");
     }
 
     #[test]

@@ -1,15 +1,12 @@
-//! Admission control: per-tenant token-bucket rate limiting with
-//! capped-exponential retry-after hints, class-bounded queues, and the
-//! deadline-aware shedder configuration.
+//! Admission control: per-tenant token-bucket rate limiting,
+//! class-bounded queues, and the deadline-aware shedder configuration.
 //!
 //! Overload safety is layered, cheapest rejection first:
 //!
 //! 1. **Rate limiter** — a token bucket per tenant, refilled at a multiple
 //!    of the tenant's share of the node's capacity. A request arriving to an
-//!    empty bucket is rejected before touching any queue, and the tenant
-//!    is handed a retry-after hint that doubles per consecutive rejection
-//!    up to a cap (the standard backpressure signal an open-loop client
-//!    would honor; the simulator records the hints it would have sent).
+//!    empty bucket is rejected before touching any queue (an open-loop
+//!    client does not retry, so a rejection is final).
 //! 2. **Class-bounded queue** — each tenant's queue is capped at
 //!    `queue_cap × class.queue_fraction()`, so BestEffort backlog cannot
 //!    crowd out memory/latency budget that Interactive traffic needs.
@@ -38,11 +35,6 @@ pub struct RateLimit {
     pub share_factor: f64,
     /// Bucket capacity, requests.
     pub burst: f64,
-    /// First retry-after hint, milliseconds.
-    pub retry_after_base_ms: f64,
-    /// Retry-after cap, milliseconds (hints double per consecutive
-    /// rejection until they hit this).
-    pub retry_after_cap_ms: f64,
 }
 
 impl Default for RateLimit {
@@ -50,8 +42,6 @@ impl Default for RateLimit {
         RateLimit {
             share_factor: 2.0,
             burst: 32.0,
-            retry_after_base_ms: 5.0,
-            retry_after_cap_ms: 640.0,
         }
     }
 }
@@ -89,15 +79,11 @@ impl AdmissionConfig {
     ///
     /// # Panics
     ///
-    /// Panics on non-positive limiter parameters or a cap below the base.
+    /// Panics on a non-positive share factor or a burst below one request.
     pub fn validate(&self) {
         if let Some(rl) = &self.rate_limit {
             assert!(rl.share_factor > 0.0, "share_factor must be positive");
             assert!(rl.burst >= 1.0, "burst must hold at least one request");
-            assert!(
-                rl.retry_after_base_ms > 0.0 && rl.retry_after_cap_ms >= rl.retry_after_base_ms,
-                "retry-after hints must be positive and capped above the base"
-            );
         }
     }
 }
@@ -115,11 +101,6 @@ pub struct TokenBucket {
     burst: f64,
     tokens: f64,
     last_refill: u64,
-    /// Consecutive rejections since the last admitted request (drives the
-    /// exponential retry-after hint).
-    streak: u32,
-    base_ms: f64,
-    cap_ms: f64,
 }
 
 impl TokenBucket {
@@ -130,28 +111,20 @@ impl TokenBucket {
             burst: cfg.burst,
             tokens: cfg.burst,
             last_refill: 0,
-            streak: 0,
-            base_ms: cfg.retry_after_base_ms,
-            cap_ms: cfg.retry_after_cap_ms,
         }
     }
 
-    /// Admits or rejects one arrival at simulated time `now`. On
-    /// rejection, returns the capped-exponential retry-after hint in
-    /// milliseconds.
-    pub fn admit(&mut self, now: u64) -> Result<(), f64> {
+    /// Admits (`true`) or rejects (`false`) one arrival at simulated time
+    /// `now`.
+    pub fn admit(&mut self, now: u64) -> bool {
         let elapsed = now.saturating_sub(self.last_refill);
         self.last_refill = now;
         self.tokens = (self.tokens + elapsed as f64 * self.rate_per_ns).min(self.burst);
-        if self.tokens >= 1.0 {
+        let admitted = self.tokens >= 1.0;
+        if admitted {
             self.tokens -= 1.0;
-            self.streak = 0;
-            Ok(())
-        } else {
-            self.streak = self.streak.saturating_add(1);
-            let exp = f64::from(self.streak.saturating_sub(1).min(30));
-            Err((self.base_ms * 2.0f64.powf(exp)).min(self.cap_ms))
         }
+        admitted
     }
 }
 
@@ -167,9 +140,9 @@ mod tests {
         };
         let mut b = TokenBucket::new(&cfg, 1000.0);
         for _ in 0..4 {
-            assert!(b.admit(0).is_ok());
+            assert!(b.admit(0));
         }
-        assert!(b.admit(0).is_err(), "empty bucket rejects");
+        assert!(!b.admit(0), "empty bucket rejects");
     }
 
     #[test]
@@ -180,42 +153,9 @@ mod tests {
         };
         // 1000 req/s = one token per millisecond.
         let mut b = TokenBucket::new(&cfg, 1000.0);
-        assert!(b.admit(0).is_ok());
-        assert!(b.admit(500_000).is_err(), "half a token after 0.5 ms");
-        assert!(b.admit(1_500_000).is_ok(), "full token after another 1 ms");
-    }
-
-    #[test]
-    fn retry_after_doubles_then_caps() {
-        let cfg = RateLimit {
-            burst: 1.0,
-            retry_after_base_ms: 10.0,
-            retry_after_cap_ms: 40.0,
-            ..RateLimit::default()
-        };
-        let mut b = TokenBucket::new(&cfg, 0.001);
-        b.admit(0).unwrap();
-        assert_eq!(b.admit(0).unwrap_err(), 10.0);
-        assert_eq!(b.admit(0).unwrap_err(), 20.0);
-        assert_eq!(b.admit(0).unwrap_err(), 40.0);
-        assert_eq!(b.admit(0).unwrap_err(), 40.0, "capped");
-    }
-
-    #[test]
-    fn admission_resets_the_rejection_streak() {
-        let cfg = RateLimit {
-            burst: 1.0,
-            retry_after_base_ms: 10.0,
-            retry_after_cap_ms: 640.0,
-            ..RateLimit::default()
-        };
-        // 1e6 req/s: refills instantly on any elapsed ns.
-        let mut b = TokenBucket::new(&cfg, 1_000_000.0);
-        b.admit(0).unwrap();
-        assert_eq!(b.admit(0).unwrap_err(), 10.0);
-        assert_eq!(b.admit(0).unwrap_err(), 20.0);
-        b.admit(10_000).unwrap();
-        assert_eq!(b.admit(10_000).unwrap_err(), 10.0, "streak reset");
+        assert!(b.admit(0));
+        assert!(!b.admit(500_000), "half a token after 0.5 ms");
+        assert!(b.admit(1_500_000), "full token after another 1 ms");
     }
 
     #[test]

@@ -38,9 +38,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use serde::{Deserialize, Serialize};
 use zcomp_kernels::degrade::LayerOutcome;
 use zcomp_kernels::layer_exec::Scheme;
-use zcomp_trace::metrics::{MetricsRegistry, MetricsSummary};
-use zcomp_trace::serve as trace_serve;
-use zcomp_trace::serve::names;
+use zcomp_trace::tracer;
 
 use super::admission::TokenBucket;
 use super::arrival::{self, NS_PER_SEC};
@@ -114,7 +112,8 @@ pub struct RatePoint {
     pub codec_fallbacks: u64,
     /// Time-averaged count of instances not down after a crash.
     pub mean_instances: f64,
-    /// Latency percentiles, microseconds (from the registry histogram).
+    /// Median latency, microseconds. The latency percentiles are exact
+    /// nearest-rank order statistics of the completed requests.
     pub p50_us: f64,
     /// 95th percentile latency, microseconds.
     pub p95_us: f64,
@@ -136,8 +135,6 @@ pub struct RatePoint {
     pub sustainable: bool,
     /// Per-class breakdown in [`SloClass::ALL`] order.
     pub classes: Vec<ClassStats>,
-    /// Full metrics snapshot (latency/queue/batch histograms, counters).
-    pub metrics: MetricsSummary,
 }
 
 /// One admitted batch, as seen by the scheduling-invariant audit.
@@ -233,7 +230,7 @@ fn simulate_inner(
     cfg.validate();
     assert!(offered_qps > 0.0, "offered rate must be positive");
     assert!(cfg.slo_ns > 0, "derive the SLO before simulating");
-    let _span = trace_serve::rate_point_span();
+    let _span = tracer::span("serve", "rate_point");
 
     let weight_sum: f64 = cfg.tenants.iter().map(|t| t.weight).sum();
     let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
@@ -318,7 +315,10 @@ fn simulate_inner(
         .map(|t| (cfg.slo_ns as f64 * t.class.deadline_factor()) as u64)
         .collect();
 
-    let mut registry = MetricsRegistry::new();
+    // Completed requests' latencies, nanoseconds, one vector per class;
+    // the node-level percentiles come from their union.
+    let mut latencies_ns: [Vec<u64>; 3] = Default::default();
+    let mut latency_sum_us = 0.0f64;
     let mut queues: Vec<VecDeque<u64>> = vec![VecDeque::new(); cfg.tenants.len()];
     let mut flush_at: Vec<Option<u64>> = vec![None; cfg.tenants.len()];
     let (mut completed, mut dropped, mut violations, mut batches) = (0u64, 0u64, 0u64, 0u64);
@@ -350,30 +350,18 @@ fn simulate_inner(
             EventKind::Arrival { tenant } => {
                 let ci = cfg.tenants[tenant].class.index();
                 class_counts[CA][ci] += 1;
-                let admitted = match buckets.as_mut() {
-                    Some(b) => match b[tenant].admit(now) {
-                        Ok(()) => true,
-                        Err(hint_ms) => {
-                            rejected += 1;
-                            class_counts[CR][ci] += 1;
-                            registry.observe(names::RETRY_AFTER_MS, hint_ms);
-                            false
-                        }
-                    },
-                    None => true,
-                };
-                if admitted {
-                    if queues[tenant].len() >= class_caps[tenant] {
-                        dropped += 1;
-                        class_counts[CD][ci] += 1;
-                    } else {
-                        queues[tenant].push_back(now);
-                    }
+                if !buckets.as_mut().is_none_or(|b| b[tenant].admit(now)) {
+                    rejected += 1;
+                    class_counts[CR][ci] += 1;
+                } else if queues[tenant].len() >= class_caps[tenant] {
+                    dropped += 1;
+                    class_counts[CD][ci] += 1;
+                } else {
+                    queues[tenant].push_back(now);
                 }
                 let depth: usize = queues.iter().map(VecDeque::len).sum();
                 max_depth = max_depth.max(depth as u64);
-                registry.observe(names::QUEUE_DEPTH, depth as f64);
-                trace_serve::queue_depth(depth as f64);
+                tracer::counter("serve.queue_depth", depth as f64);
             }
             EventKind::Done { instance, token } => {
                 let slot = &mut slots[instance];
@@ -389,12 +377,8 @@ fn simulate_inner(
                                 continue;
                             }
                             let latency_ns = now - arrived;
-                            let latency_us = latency_ns as f64 / 1_000.0;
-                            registry.observe(names::LATENCY_US, latency_us);
-                            registry.observe(
-                                cfg.tenants[batch.tenant].class.latency_metric(),
-                                latency_us,
-                            );
+                            latencies_ns[ci].push(latency_ns);
+                            latency_sum_us += latency_ns as f64 / 1_000.0;
                             if latency_ns > cfg.slo_ns {
                                 violations += 1;
                                 class_counts[CV][ci] += 1;
@@ -418,7 +402,7 @@ fn simulate_inner(
                 if slot.up {
                     slot.up = false;
                     crashes += 1;
-                    trace_serve::chaos_crash();
+                    tracer::instant("serve", "chaos.crash");
                     if let Some(batch) = slot.busy.take() {
                         busy_now -= 1;
                         slot.token += 1;
@@ -440,7 +424,7 @@ fn simulate_inner(
                     slot.up = true;
                     slot.free_since = now;
                     recoveries += 1;
-                    trace_serve::chaos_recover();
+                    tracer::instant("serve", "chaos.recover");
                 }
             }
         }
@@ -489,7 +473,7 @@ fn simulate_inner(
                     .and_then(|c| c.roll_batch_fault(batches))
                 {
                     codec_faults += 1;
-                    trace_serve::codec_fault();
+                    tracer::instant("serve", "chaos.codec_fault");
                     let chaos = chaos_state.as_ref().expect("fault implies chaos");
                     match chaos.policy() {
                         DegradePolicy::HardFail => {
@@ -558,9 +542,7 @@ fn simulate_inner(
             });
             batches += 1;
             batch_requests += take as u64;
-            registry.observe(names::BATCH_SIZE, take as f64);
-            registry.observe(names::SLOWDOWN_MILLI, slowdown * 1000.0);
-            trace_serve::slowdown(slowdown);
+            tracer::counter("serve.slowdown", slowdown);
             heap.push(Reverse((
                 done_at,
                 seq,
@@ -593,40 +575,11 @@ fn simulate_inner(
     // come back): stranded, not silently lost.
     let stranded: u64 = queues.iter().map(|q| q.len() as u64).sum();
 
-    registry.incr(names::COMPLETED, completed);
-    registry.incr(names::DROPPED, dropped);
-    registry.incr(names::SLO_VIOLATIONS, violations);
-    registry.incr(names::BATCHES, batches);
-    registry.incr(names::REJECTED, rejected);
-    registry.incr(names::SHED, shed);
-    registry.incr(names::FAILED, failed);
-    registry.incr(names::STRANDED, stranded);
-    registry.incr(names::PREEMPTED, preempted);
-    registry.incr(names::CRASHES, crashes);
-    registry.incr(names::RECOVERIES, recoveries);
-    registry.incr(names::CODEC_FAULTS, codec_faults);
-    registry.incr(names::CODEC_RETRIES, codec_retries);
-    registry.incr(names::CODEC_FALLBACKS, codec_fallbacks);
-
-    let (p50, p95, p99, mean) = registry
-        .histogram(names::LATENCY_US)
-        .map(|h| {
-            (
-                h.percentile(0.50),
-                h.percentile(0.95),
-                h.percentile(0.99),
-                h.mean(),
-            )
-        })
-        .unwrap_or((0.0, 0.0, 0.0, 0.0));
     let classes = SloClass::ALL
         .iter()
         .map(|&class| {
             let ci = class.index();
-            let (c50, c99) = registry
-                .histogram(class.latency_metric())
-                .map(|h| (h.percentile(0.50), h.percentile(0.99)))
-                .unwrap_or((0.0, 0.0));
+            let [c50, _, c99] = percentiles_us(&mut latencies_ns[ci]);
             ClassStats {
                 class,
                 arrivals: class_counts[CA][ci],
@@ -641,6 +594,12 @@ fn simulate_inner(
             }
         })
         .collect();
+    let [p50, p95, p99] = percentiles_us(&mut latencies_ns.concat());
+    let mean = if completed == 0 {
+        0.0
+    } else {
+        latency_sum_us / completed as f64
+    };
     let arrivals = cfg.total_arrivals() as u64;
     let span_s = (last_completion.saturating_sub(first_arrival)).max(1) as f64 / NS_PER_SEC;
     let lost = dropped + rejected + shed + failed + stranded;
@@ -685,8 +644,22 @@ fn simulate_inner(
         peak_slowdown,
         sustainable,
         classes,
-        metrics: registry.summary(),
     }
+}
+
+/// Sorts `latencies_ns` in place and returns its p50, p95 and p99 in
+/// microseconds. Each is the nearest-rank order statistic: the sample of
+/// rank `ceil(q·n)`, clamped to `1..=n`. An empty set reads 0.0.
+fn percentiles_us(latencies_ns: &mut [u64]) -> [f64; 3] {
+    latencies_ns.sort_unstable();
+    let n = latencies_ns.len();
+    [0.50, 0.95, 0.99].map(|q| {
+        if n == 0 {
+            return 0.0;
+        }
+        let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+        latencies_ns[rank - 1] as f64 / 1_000.0
+    })
 }
 
 #[cfg(test)]
@@ -829,12 +802,6 @@ mod tests {
         let p = simulate(&cfg, &mut service, 20_000.0);
         assert!(p.rejected > 0, "token bucket must reject at 20x capacity");
         assert_eq!(accounted(&p), p.arrivals);
-        // Retry-after hints were recorded for the rejected tenants.
-        assert!(p
-            .metrics
-            .histograms
-            .iter()
-            .any(|h| h.name == names::RETRY_AFTER_MS && h.count > 0));
     }
 
     #[test]
@@ -968,6 +935,83 @@ mod tests {
         let b = simulate(&cfg, &mut s2, 1_200.0);
         require_byte_identical(&a, &b).expect("chaos runs must replay byte-identically");
         assert!(a.crashes > 0 && a.codec_faults > 0, "chaos actually ran");
+    }
+
+    #[test]
+    fn percentiles_of_no_samples_read_zero() {
+        assert_eq!(percentiles_us(&mut []), [0.0; 3]);
+    }
+
+    #[test]
+    fn percentiles_of_one_sample_are_that_sample() {
+        assert_eq!(percentiles_us(&mut [1_234_567]), [1_234.567; 3]);
+    }
+
+    #[test]
+    fn percentiles_are_exact_order_statistics() {
+        // 1..=100 µs in a fixed shuffle (37 is coprime with 100).
+        let mut ns: Vec<u64> = (0..100u64).map(|i| (i * 37 % 100 + 1) * 1_000).collect();
+        assert_eq!(percentiles_us(&mut ns), [50.0, 95.0, 99.0]);
+        assert!(ns.windows(2).all(|w| w[0] <= w[1]), "sorted in place");
+    }
+
+    #[test]
+    fn percentiles_rank_duplicates() {
+        // Ranks 10, 19 and 20 of 20 samples: 3 µs ten times, then 7 µs
+        // nine times, then 300 µs once.
+        let us = [300u64].into_iter().chain([7; 9]).chain([3; 10]);
+        let mut ns: Vec<u64> = us.map(|us| us * 1_000).collect();
+        assert_eq!(percentiles_us(&mut ns), [3.0, 7.0, 300.0]);
+    }
+
+    /// Raising the SLO at a fixed rate under permissive admission changes
+    /// no scheduling decision: latencies and every counter but
+    /// `slo_violations` stay put, violations never rise, goodput never
+    /// falls, and a sustainable point stays sustainable.
+    #[test]
+    fn raising_the_slo_only_relabels_violations() {
+        let (mut cfg, _) = test_cfg(2, 4);
+        cfg.tenants = ServeConfig::new(ModelId::Googlenet, Scheme::None, 4).tenants;
+        assert_eq!(cfg.admission, AdmissionConfig::permissive());
+        let slos_ns = [1_200_000, 2_000_000, 3_000_000, 6_000_000, 100_000_000];
+        for qps in [2_000.0, 7_000.0] {
+            let points: Vec<RatePoint> = slos_ns
+                .iter()
+                .map(|&slo_ns| {
+                    cfg.slo_ns = slo_ns;
+                    simulate(&cfg, &mut test_cfg(2, 4).1, qps)
+                })
+                .collect();
+            let relabelled = |p: &RatePoint| {
+                let mut p = p.clone();
+                p.slo_violations = 0;
+                p.goodput_qps = 0.0;
+                p.sustainable = false;
+                for c in &mut p.classes {
+                    c.slo_violations = 0;
+                }
+                p
+            };
+            for w in points.windows(2) {
+                assert_eq!(relabelled(&w[0]), relabelled(&w[1]), "{qps} qps");
+                assert!(w[1].slo_violations <= w[0].slo_violations, "{qps} qps");
+                for (a, b) in w[0].classes.iter().zip(&w[1].classes) {
+                    assert!(
+                        b.slo_violations <= a.slo_violations,
+                        "{qps} qps {:?}",
+                        b.class
+                    );
+                }
+                assert!(w[1].goodput_qps >= w[0].goodput_qps, "{qps} qps");
+                assert!(!w[0].sustainable || w[1].sustainable, "{qps} qps");
+            }
+            let (tight, loose) = (&points[0], &points[points.len() - 1]);
+            assert!(
+                tight.slo_violations > 0,
+                "{qps} qps: the tightest SLO must bite"
+            );
+            assert_eq!(loose.slo_violations, 0, "{qps} qps");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! unsustainable rate) followed by geometric bisection (latency grows
 //! multiplicatively near saturation, so midpoints in log space converge
 //! evenly). The knee is the highest offered QPS whose rate point is
-//! sustainable: completions happened, drops within tolerance, p99 under
-//! the SLO — all read from the `MetricsRegistry` latency histogram.
+//! sustainable: completions happened, drops within tolerance, and the
+//! exact (nearest-rank) p99 of the point's latencies under the SLO.
 
 use serde::{Deserialize, Serialize};
 use zcomp_dnn::models::ModelId;
@@ -107,7 +107,7 @@ pub fn derive_slo(
 /// Sweeps offered rate for `cfg`, returning the probed curve and knee.
 pub fn find_knee(cfg: &ServeConfig, service: &mut ServiceModel, opts: &KneeOpts) -> ServeCurve {
     cfg.validate();
-    let _span = zcomp_trace::serve::knee_span();
+    let _span = zcomp_trace::tracer::span("serve", "knee_search");
     let solo_ns = service.solo_ns(0, 0, cfg.max_batch);
     let capacity = (cfg.instances * cfg.max_batch) as f64 / (solo_ns as f64 / NS_PER_SEC);
 

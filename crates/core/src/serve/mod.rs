@@ -19,9 +19,9 @@
 //!   share.
 //! * [`engine`] is the discrete-event loop: arrivals, queueing, batch
 //!   admission, completion — entirely on a simulated nanosecond clock, so
-//!   every rate point is byte-reproducible from the seed. Latency,
-//!   queue-depth and batch-size distributions go through
-//!   [`zcomp_trace::metrics::MetricsRegistry`] histograms.
+//!   every rate point is byte-reproducible from the seed. Each point's
+//!   p50/p95/p99 are exact nearest-rank order statistics of its
+//!   completed requests' latencies.
 //! * [`knee`] sweeps the offered rate and bisects the *knee*: the highest
 //!   QPS whose p99 stays under the SLO with negligible drops.
 //!
@@ -29,9 +29,8 @@
 //!
 //! * [`slo`] — per-tenant SLO classes and the strict-priority +
 //!   weighted-deficit batching scheduler.
-//! * [`admission`] — per-tenant token-bucket rate limiting with
-//!   capped-exponential retry-after hints, class-bounded queues, and the
-//!   deadline-aware shedder policy.
+//! * [`admission`] — per-tenant token-bucket rate limiting,
+//!   class-bounded queues, and the deadline-aware shedder policy.
 //! * [`chaos`] — seeded instance crash/recovery schedules plus codec
 //!   faults resolved through the PR-1 retry-then-uncompressed policy.
 //! * [`determinism`] — non-panicking byte-identity self-checks for the

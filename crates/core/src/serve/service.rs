@@ -202,7 +202,7 @@ impl ServiceModel {
                 }
             }
             Backend::Network { cfg, tenants, nets } => {
-                let _span = zcomp_trace::serve::profile_span();
+                let _span = zcomp_trace::tracer::span("serve", "profile_batch");
                 let net = nets
                     .entry(padded)
                     .or_insert_with(|| cfg.model.build(padded));

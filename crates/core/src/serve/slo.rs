@@ -85,15 +85,6 @@ impl SloClass {
         }
     }
 
-    /// Per-class latency-histogram metric name.
-    pub fn latency_metric(self) -> &'static str {
-        match self {
-            SloClass::Interactive => zcomp_trace::serve::names::LATENCY_US_INTERACTIVE,
-            SloClass::Batch => zcomp_trace::serve::names::LATENCY_US_BATCH,
-            SloClass::BestEffort => zcomp_trace::serve::names::LATENCY_US_BEST_EFFORT,
-        }
-    }
-
     /// Stable dense index into per-class arrays.
     pub fn index(self) -> usize {
         self.priority() as usize
@@ -264,7 +255,6 @@ mod tests {
         for class in SloClass::ALL {
             assert_eq!(SloClass::ALL[class.index()], class);
             assert!(class.queue_fraction() > 0.0 && class.queue_fraction() <= 1.0);
-            assert!(class.latency_metric().starts_with("serve.latency_us."));
         }
     }
 }

@@ -1,124 +1,12 @@
-//! A packed `u64` bitset for per-line boolean cache state.
+//! Packed per-line boolean cache state.
 //!
-//! [`CacheArray`](crate::cache::CacheArray) keeps one boolean per cache
-//! line for the dirty and prefetched bits. Storing them as `Vec<bool>`
-//! costs a byte per flag and scatters the hot access path across cache
-//! lines; packing 64 flags per word keeps the whole per-set flag state in
-//! one or two machine words and lets bulk operations (clear, drain) run
-//! word-at-a-time.
+//! [`CacheArray`](crate::cache::CacheArray) keeps a dirty and a prefetched
+//! bit per cache line. Storing them as `Vec<bool>` costs a byte per flag
+//! and scatters the hot access path across host cache lines; packing them
+//! as bit pairs keeps a whole set's flag state in one or two machine
+//! words.
 
 use serde::{Deserialize, Serialize};
-
-/// A fixed-length bitset packed into `u64` words.
-///
-/// # Example
-///
-/// ```
-/// use zcomp_sim::bitset::BitSet;
-///
-/// let mut b = BitSet::new(130);
-/// b.set(0);
-/// b.set(129);
-/// assert!(b.get(0) && b.get(129) && !b.get(64));
-/// assert_eq!(b.count_ones(), 2);
-/// assert_eq!(b.drain_ones(), vec![0, 129]);
-/// assert_eq!(b.count_ones(), 0);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BitSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl BitSet {
-    /// Creates an all-clear bitset holding `len` bits.
-    pub fn new(len: usize) -> Self {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    /// Number of bits the set holds.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the set holds zero bits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Reads bit `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len` (via the slice index).
-    #[inline(always)]
-    pub fn get(&self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        (self.words[i >> 6] >> (i & 63)) & 1 != 0
-    }
-
-    /// Sets bit `i`.
-    #[inline(always)]
-    pub fn set(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        self.words[i >> 6] |= 1u64 << (i & 63);
-    }
-
-    /// Clears bit `i`.
-    #[inline(always)]
-    pub fn clear(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        self.words[i >> 6] &= !(1u64 << (i & 63));
-    }
-
-    /// Reads bit `i` and clears it in the same word access.
-    #[inline(always)]
-    pub fn take(&mut self, i: usize) -> bool {
-        debug_assert!(i < self.len);
-        let word = &mut self.words[i >> 6];
-        let bit = 1u64 << (i & 63);
-        let was = *word & bit != 0;
-        *word &= !bit;
-        was
-    }
-
-    /// Writes bit `i` to `value`.
-    #[inline(always)]
-    pub fn assign(&mut self, i: usize, value: bool) {
-        debug_assert!(i < self.len);
-        let word = &mut self.words[i >> 6];
-        let bit = 1u64 << (i & 63);
-        *word = (*word & !bit) | (u64::from(value) * bit);
-    }
-
-    /// Clears every bit.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Number of set bits.
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Returns the indices of all set bits in ascending order and clears
-    /// them, word-at-a-time.
-    pub fn drain_ones(&mut self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.count_ones());
-        for (wi, word) in self.words.iter_mut().enumerate() {
-            let mut w = std::mem::take(word);
-            while w != 0 {
-                let bit = w.trailing_zeros() as usize;
-                out.push(wi * 64 + bit);
-                w &= w - 1;
-            }
-        }
-        out
-    }
-}
 
 /// The dirty and prefetched bits of cache lines, packed as adjacent bit
 /// pairs (32 lines per `u64` word).
@@ -126,8 +14,8 @@ impl BitSet {
 /// [`CacheArray`](crate::cache::CacheArray) reads and writes both flags of
 /// the same line on its hot paths (a fill assigns both, an invalidation
 /// clears both). Keeping the pair in one word means each of those is a
-/// single load-modify-store on a single host cache line, where two
-/// separate [`BitSet`]s would touch two.
+/// single load-modify-store on a single host cache line, where one
+/// bitset per flag would touch two.
 ///
 /// # Example
 ///
@@ -223,97 +111,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_is_all_clear() {
-        let b = BitSet::new(100);
-        assert_eq!(b.len(), 100);
-        assert!(!b.is_empty());
-        assert_eq!(b.count_ones(), 0);
-        for i in 0..100 {
-            assert!(!b.get(i));
-        }
-    }
-
-    #[test]
-    fn set_get_clear_roundtrip() {
-        let mut b = BitSet::new(200);
-        for i in [0usize, 1, 63, 64, 65, 127, 128, 199] {
-            b.set(i);
-            assert!(b.get(i), "bit {i}");
-        }
-        assert_eq!(b.count_ones(), 8);
-        b.clear(64);
-        assert!(!b.get(64));
-        assert!(b.get(63) && b.get(65), "neighbours untouched");
-        assert_eq!(b.count_ones(), 7);
-    }
-
-    #[test]
-    fn set_is_idempotent() {
-        let mut b = BitSet::new(10);
-        b.set(3);
-        b.set(3);
-        assert_eq!(b.count_ones(), 1);
-        b.clear(3);
-        b.clear(3);
-        assert_eq!(b.count_ones(), 0);
-    }
-
-    #[test]
-    fn take_reads_and_clears() {
-        let mut b = BitSet::new(70);
-        b.set(65);
-        assert!(b.take(65));
-        assert!(!b.get(65));
-        assert!(!b.take(65), "second take sees the cleared bit");
-        assert!(!b.take(3), "take of a clear bit is false and stays clear");
-        assert_eq!(b.count_ones(), 0);
-    }
-
-    #[test]
-    fn assign_matches_set_and_clear() {
-        let mut b = BitSet::new(70);
-        b.assign(5, true);
-        b.assign(69, true);
-        assert!(b.get(5) && b.get(69));
-        b.assign(5, false);
-        assert!(!b.get(5));
-        // Re-assigning the current value is a no-op.
-        b.assign(69, true);
-        assert!(b.get(69));
-        assert_eq!(b.count_ones(), 1);
-    }
-
-    #[test]
-    fn clear_all_resets_every_word() {
-        let mut b = BitSet::new(300);
-        for i in (0..300).step_by(7) {
-            b.set(i);
-        }
-        assert!(b.count_ones() > 0);
-        b.clear_all();
-        assert_eq!(b.count_ones(), 0);
-    }
-
-    #[test]
-    fn drain_ones_yields_ascending_and_clears() {
-        let mut b = BitSet::new(150);
-        for i in [149usize, 0, 64, 63, 100] {
-            b.set(i);
-        }
-        assert_eq!(b.drain_ones(), vec![0, 63, 64, 100, 149]);
-        assert_eq!(b.count_ones(), 0);
-        assert_eq!(b.drain_ones(), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn empty_bitset() {
-        let mut b = BitSet::new(0);
-        assert!(b.is_empty());
-        assert_eq!(b.count_ones(), 0);
-        assert_eq!(b.drain_ones(), Vec::<usize>::new());
-    }
-
-    #[test]
     fn line_flags_start_clear() {
         let f = LineFlags::new(100);
         assert_eq!(f.len(), 100);
@@ -390,41 +187,5 @@ mod tests {
             assert_eq!(f.dirty(i), dirty[i], "final dirty {i}");
             assert_eq!(f.take_prefetched(i), pref[i], "final prefetched {i}");
         }
-    }
-
-    #[test]
-    fn matches_vec_bool_reference() {
-        // Pseudo-random walk cross-checked against a Vec<bool> model.
-        let n = 517;
-        let mut b = BitSet::new(n);
-        let mut model = vec![false; n];
-        let mut x = 0x2545_f491_4f6c_dd1du64;
-        for _ in 0..10_000 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let i = (x as usize) % n;
-            match (x >> 32) % 3 {
-                0 => {
-                    b.set(i);
-                    model[i] = true;
-                }
-                1 => {
-                    b.clear(i);
-                    model[i] = false;
-                }
-                _ => {
-                    let v = (x >> 48) & 1 != 0;
-                    b.assign(i, v);
-                    model[i] = v;
-                }
-            }
-        }
-        for (i, &m) in model.iter().enumerate() {
-            assert_eq!(b.get(i), m, "bit {i}");
-        }
-        assert_eq!(b.count_ones(), model.iter().filter(|&&m| m).count());
-        let expect: Vec<usize> = (0..n).filter(|&i| model[i]).collect();
-        assert_eq!(b.drain_ones(), expect);
     }
 }

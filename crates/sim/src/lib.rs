@@ -10,7 +10,8 @@
 //! The simulator is organised bottom-up:
 //!
 //! * [`config`] — machine description ([`config::SimConfig::table1`]).
-//! * [`bitset`] — packed `u64` bitset backing the per-line flag state.
+//! * [`bitset`] — [`bitset::LineFlags`], the packed per-line dirty and
+//!   prefetched bits.
 //! * [`cache`] — set-associative arrays with LRU/SRRIP replacement.
 //! * [`prefetch`] — the stream/stride prefetcher model.
 //! * [`noc`] — the 2D-mesh latency model.
@@ -53,7 +54,6 @@ pub mod observe;
 pub mod prefetch;
 pub mod stats;
 
-pub use bitset::BitSet;
 pub use config::{config_fingerprint, SimConfig};
 pub use engine::{Machine, PhaseMode, PhaseReport, RunSummary};
 pub use faults::{FaultConfig, FaultEvent, FaultProbe, FaultSite};

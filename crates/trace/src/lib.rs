@@ -1,12 +1,9 @@
 //! Observability substrate for the ZCOMP reproduction.
 //!
-//! Three independent facilities, layered from always-on to opt-in:
+//! Independent facilities, layered from always-on to opt-in:
 //!
 //! * [`log`] — a leveled stderr logger controlled by the `ZCOMP_LOG`
 //!   environment variable (or [`log::set_level`]), always compiled in.
-//! * [`metrics`] — a [`metrics::MetricsRegistry`] of monotonic counters,
-//!   gauges and log-scaled histograms with p50/p95/p99 summaries, always
-//!   compiled in.
 //! * [`tracer`] — span/instant/counter event recording behind the `trace`
 //!   cargo feature. With the feature off every entry point is an empty
 //!   `#[inline]` function and [`tracer::SpanGuard`] is zero-sized, so the
@@ -14,7 +11,6 @@
 //!   additionally gated at runtime by a session flag
 //!   ([`tracer::session_start`]), so merely linking the tracer changes
 //!   nothing until a tool such as `trace_run` opens a session.
-//!
 //! * [`hash`] — the workspace's one CRC32 and one FNV-1a, shared by every
 //!   layer that checksums or names bytes.
 //!
@@ -29,6 +25,4 @@ pub mod chrome;
 pub mod csv;
 pub mod hash;
 pub mod log;
-pub mod metrics;
-pub mod serve;
 pub mod tracer;
