@@ -1,8 +1,5 @@
 //! Ablation studies for the design choices called out in the paper.
 //!
-//! * §3.3 — ZCOMP logic-pipeline latency (2 vs 3 cycles): "the overall
-//!   performance is almost identical ... due to throughput-bound
-//!   operation".
 //! * §4.3 — parallelization strategy (serialized Fig. 7(a) vs partitioned
 //!   Fig. 7(b)) and sub-block loop unrolling.
 //! * §4.1 — header placement (interleaved vs separate) and the 3.125%
@@ -15,66 +12,10 @@ use zcomp_isa::uops::UopTable;
 use zcomp_kernels::nnz::nnz_synthetic;
 use zcomp_kernels::partition::Parallelization;
 use zcomp_kernels::relu::{run_relu, ReluOpts, ReluScheme};
-use zcomp_kernels::relu_interval::run_relu_interval;
 use zcomp_sim::config::SimConfig;
 use zcomp_sim::engine::Machine;
 
-use crate::report::{pct, Table};
-
-/// Result of the logic-latency ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LogicLatencyResult {
-    /// `(latency_cycles, runtime_cycles)` pairs.
-    pub points: Vec<(u32, f64)>,
-}
-
-impl LogicLatencyResult {
-    /// Relative runtime change from the first to the last point.
-    pub fn relative_change(&self) -> f64 {
-        let first = self.points.first().expect("at least one point").1;
-        let last = self.points.last().expect("at least one point").1;
-        (last - first) / first
-    }
-
-    /// Renders the ablation table.
-    pub fn table(&self) -> Table {
-        let mut t = Table::new(
-            "Ablation (3.3): ZCOMP logic pipeline latency",
-            &["logic_latency", "cycles", "vs_2cy"],
-        );
-        let base = self.points[0].1;
-        for &(lat, cycles) in &self.points {
-            t.row([
-                format!("{lat}"),
-                format!("{cycles:.0}"),
-                pct(cycles / base - 1.0),
-            ]);
-        }
-        t
-    }
-}
-
-/// Runs the logic-latency ablation on a medium DeepBench-scale tensor.
-///
-/// The cycle-stepped interval model is used because the pipeline latency
-/// enters timing through per-iteration dependency chains — exactly the
-/// mechanism §3.3 argues is hidden by throughput-bound operation.
-pub fn logic_latency(elements: usize, latencies: &[u32]) -> LogicLatencyResult {
-    let nnz = nnz_synthetic(elements, 0.53, 6.0, 0xAB1);
-    let cfg = SimConfig::table1();
-    let points = latencies
-        .iter()
-        .map(|&lat| {
-            let table = UopTable {
-                zcomp_logic_latency: lat,
-            };
-            let result =
-                run_relu_interval(&cfg, table, ReluScheme::Zcomp, &nnz, &ReluOpts::default());
-            (lat, result.wall_cycles)
-        })
-        .collect();
-    LogicLatencyResult { points }
-}
+use crate::report::Table;
 
 /// Result of the parallelization ablation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -222,18 +163,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn logic_latency_is_insensitive_when_throughput_bound() {
-        // §3.3: "the overall performance is almost identical to the
-        // 2-cycle version due to throughput-bound operation".
-        let r = logic_latency(512 * 1024, &[2, 3]);
-        assert!(
-            r.relative_change().abs() < 0.05,
-            "3-cycle logic changed runtime by {}",
-            r.relative_change()
-        );
-    }
-
-    #[test]
     fn partitioned_beats_serialized() {
         let r = parallelization(256 * 1024, &[1, 2, 4]);
         assert!(
@@ -275,10 +204,6 @@ mod tests {
 
     #[test]
     fn tables_render() {
-        assert!(logic_latency(64 * 1024, &[2, 3])
-            .table()
-            .render()
-            .contains("2"));
         assert!(parallelization(64 * 1024, &[1])
             .table()
             .render()

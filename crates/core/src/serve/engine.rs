@@ -1014,6 +1014,72 @@ mod tests {
         }
     }
 
+    /// The rate points at instances 1..=6 for one fixed profile, under the
+    /// three-tenant mix and permissive admission.
+    fn instance_sweep(max_batch: usize, dram_bytes: f64, qps: f64) -> Vec<RatePoint> {
+        let profiles: BTreeMap<usize, ServiceProfile> = [1usize, 2, 4, 8, 16]
+            .into_iter()
+            .map(|padded| {
+                let profile = ServiceProfile {
+                    base_cycles: 1_000_000.0,
+                    dram_bytes,
+                    noc_bytes: 0.0,
+                };
+                (padded, profile)
+            })
+            .collect();
+        (1..=6)
+            .map(|instances| {
+                let (mut cfg, _) = test_cfg(instances, max_batch);
+                cfg.tenants = ServeConfig::new(ModelId::Googlenet, Scheme::None, max_batch).tenants;
+                assert_eq!(cfg.admission, AdmissionConfig::permissive());
+                let mut service = ServiceModel::fixed(1.0e9, 1.0, 1.0, profiles.clone());
+                simulate(&cfg, &mut service, qps)
+            })
+            .collect()
+    }
+
+    /// At a fixed rate, adding an instance never lowers completions. It
+    /// never raises p99 either, but only while batches share no
+    /// bandwidth: with a DRAM-heavy profile every extra busy instance
+    /// stretches every batch, so p99 can rise with the fleet.
+    #[test]
+    fn more_instances_never_lower_completions_nor_raise_uncontended_p99() {
+        for max_batch in [1, 4] {
+            for qps in [100, 300, 1_000, 2_000, 4_000, 8_000] {
+                let points = instance_sweep(max_batch, 0.0, f64::from(qps));
+                for (i, w) in points.windows(2).enumerate() {
+                    let at = format!("batch {max_batch}, {qps} qps, {} instances", i + 2);
+                    assert!(w[1].p99_us <= w[0].p99_us, "{at}: p99 rose");
+                    assert!(w[1].completed >= w[0].completed, "{at}: completions fell");
+                }
+                assert_eq!(points[5].peak_slowdown, 1.0, "no profile contends");
+                if qps == 8_000 {
+                    // One instance is overloaded here; six are not.
+                    assert!(points[5].p99_us < points[0].p99_us);
+                }
+            }
+        }
+        // 2 MB per 1 ms batch at 1 B/cycle: bandwidth-bound even solo.
+        for max_batch in [1, 4] {
+            for qps in [100.0, 300.0, 1_000.0, 1_500.0] {
+                let points = instance_sweep(max_batch, 2_000_000.0, qps);
+                for (i, w) in points.windows(2).enumerate() {
+                    let at = format!("batch {max_batch}, {qps} qps, {} instances", i + 2);
+                    assert!(w[1].completed >= w[0].completed, "{at}: completions fell");
+                }
+            }
+        }
+        let contended = instance_sweep(4, 2_000_000.0, 300.0);
+        assert!(contended[5].peak_slowdown > contended[0].peak_slowdown);
+        assert!(
+            contended[5].p99_us > contended[0].p99_us,
+            "p99 {} us at 6 instances vs {} us at 1",
+            contended[5].p99_us,
+            contended[0].p99_us
+        );
+    }
+
     #[test]
     fn audited_run_matches_unaudited_point() {
         let (cfg, mut s1) = test_cfg(2, 4);

@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 pub use crate::stream::HeaderMode;
-use crate::uops::{UopCounts, UopKind, UopTable};
+use crate::uops::{UopCounts, UopKind};
 
 /// Direction of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -259,34 +259,6 @@ impl Instr {
             | Instr::LoopOverhead => {}
         }
     }
-
-    /// Latency of the instruction's internal dependency chain in cycles,
-    /// excluding cache-miss time (added by the memory model).
-    pub fn chain_latency(&self, table: &UopTable) -> u32 {
-        match self {
-            Instr::VLoad { .. } => table.latency(UopKind::Load),
-            Instr::VStore { .. } | Instr::StoreMask { .. } => table.latency(UopKind::Store),
-            Instr::VMaxPs | Instr::VCmpPsMask => table.latency(UopKind::VecAlu),
-            Instr::KmovPopcnt => table.latency(UopKind::ScalarAlu) + table.latency(UopKind::Popcnt),
-            Instr::VCompressStore { .. } => {
-                table.latency(UopKind::VecShuffle) + table.latency(UopKind::Store)
-            }
-            Instr::VExpandLoad { .. } => {
-                table.latency(UopKind::Load) + table.latency(UopKind::VecShuffle)
-            }
-            Instr::LoadMask { .. } => table.latency(UopKind::Load),
-            Instr::ScalarAdd => table.latency(UopKind::ScalarAlu),
-            Instr::ZcompS { .. } => table.latency(UopKind::ZcompLogic),
-            // zcompl: header load feeds the logic which feeds the data
-            // load — the sequentially-dependent chain of §3.3.
-            Instr::ZcompL { .. } => {
-                table.latency(UopKind::Load)
-                    + table.latency(UopKind::ZcompLogic)
-                    + table.latency(UopKind::Load)
-            }
-            Instr::LoopOverhead => table.latency(UopKind::ScalarAlu),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -385,20 +357,6 @@ mod tests {
         let mut acc = Vec::new();
         i.mem_accesses(&mut acc);
         assert_eq!(acc, vec![MemAccess::read(0x1000, 2)]);
-    }
-
-    #[test]
-    fn zcompl_chain_latency_includes_both_loads() {
-        let t = UopTable::skylake_x();
-        let i = Instr::ZcompL {
-            variant: HeaderMode::Interleaved,
-            addr: 0,
-            bytes: 26,
-            header_addr: None,
-            header_bytes: 2,
-        };
-        // load(4) + logic(2) + load(4) = 10.
-        assert_eq!(i.chain_latency(&t), 10);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!    high-level helpers in [`compress`]. These are real, testable
 //!    implementations — what a softwar​e-visible ZCOMP stream would contain.
 //! 2. **Micro-architectural**: every modelled instruction decomposes into
-//!    micro-ops ([`instr::Instr::add_uops`]) with latencies and throughputs in
-//!    the style of Agner Fog's instruction tables ([`uops`]), which the
-//!    `zcomp-sim` core models consume for timing.
+//!    micro-ops ([`instr::Instr::add_uops`]) with throughputs in the style
+//!    of Agner Fog's instruction tables ([`uops`]), which the `zcomp-sim`
+//!    core model consumes for timing.
 //!
 //! # Example
 //!

@@ -1,15 +1,15 @@
-//! Micro-op classes, latencies and throughputs.
+//! Micro-op classes and throughputs.
 //!
 //! Every modelled instruction decomposes into micro-ops (§3.3 "logic
-//! micro-ops and memory micro-ops"). Latency/throughput values follow the
-//! style of Agner Fog's instruction tables for Skylake-X, which the paper
-//! cites for its 2-cycle ZCOMP logic pipeline.
+//! micro-ops and memory micro-ops"). Throughput values follow the style of
+//! Agner Fog's instruction tables for Skylake-X.
 //!
 //! The timing model is *port-pressure based*: each micro-op occupies one
 //! slot of an execution-port class with a fixed per-cycle throughput, and
 //! the whole machine issues at most four micro-ops per cycle (Table 1:
-//! "4-issue"). Latencies matter for dependency chains — notably the
-//! sequentially-dependent `zcompl` header → data → next-header chain.
+//! "4-issue"). No micro-op latency is modelled, so dependency chains such
+//! as `zcompl`'s loop-carried header load → logic → data load chain cost
+//! nothing beyond their port pressure.
 
 use serde::{Deserialize, Serialize};
 
@@ -148,38 +148,18 @@ impl std::ops::Add for UopCounts {
     }
 }
 
-/// Latency/throughput table for the modelled micro-architecture.
+/// Throughput table for the modelled micro-architecture.
 ///
-/// `zcomp_logic_latency` is the ablation knob of §3.3: the paper reports
-/// that a 3-cycle logic variant performs almost identically to the 2-cycle
-/// one because operation is throughput-bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct UopTable {
-    /// Latency in cycles of the ZCOMP logic component (paper default: 2).
-    pub zcomp_logic_latency: u32,
-}
+/// The timing model reads no per-uop latency, so the table holds
+/// throughputs only; §3.3's 2- versus 3-cycle logic-latency claim is
+/// therefore not modelled.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UopTable;
 
 impl UopTable {
-    /// The paper's default configuration (2-cycle ZCOMP logic).
+    /// The paper's Skylake-X configuration.
     pub fn skylake_x() -> Self {
-        UopTable {
-            zcomp_logic_latency: 2,
-        }
-    }
-
-    /// Result latency of a micro-op kind in cycles (L1-hit latency for
-    /// memory kinds; cache misses add on top in the memory model).
-    pub fn latency(&self, kind: UopKind) -> u32 {
-        match kind {
-            UopKind::VecAlu => 4,     // vcmpps / vmaxps on SKX
-            UopKind::VecShuffle => 3, // vcompressps / vexpandps lane network
-            UopKind::ScalarAlu => 1,
-            UopKind::Popcnt => 3,
-            UopKind::Load => 4,  // L1-D hit
-            UopKind::Store => 1, // store completes into the store buffer
-            UopKind::Branch => 1,
-            UopKind::ZcompLogic => self.zcomp_logic_latency,
-        }
+        UopTable
     }
 
     /// Sustained throughput of a kind in micro-ops per cycle.
@@ -225,23 +205,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_logic_latency_is_two_cycles() {
-        let t = UopTable::skylake_x();
-        assert_eq!(t.latency(UopKind::ZcompLogic), 2);
-        assert_eq!(t.throughput(UopKind::ZcompLogic), 1.0);
-    }
-
-    #[test]
-    fn three_cycle_ablation_keeps_throughput() {
-        let t = UopTable {
-            zcomp_logic_latency: 3,
-        };
-        assert_eq!(t.latency(UopKind::ZcompLogic), 3);
-        // Throughput is unchanged: the pipeline accepts one per cycle.
-        assert_eq!(t.throughput(UopKind::ZcompLogic), 1.0);
-    }
-
-    #[test]
     fn min_cycles_is_port_bound_for_shuffles() {
         let mut c = UopCounts::new();
         c.add(UopKind::VecShuffle, 8);
@@ -274,11 +237,12 @@ mod tests {
     }
 
     #[test]
-    fn all_kinds_have_positive_latency_and_throughput() {
+    fn all_kinds_have_positive_throughput() {
         let t = UopTable::skylake_x();
         for kind in UopKind::ALL {
-            assert!(t.latency(kind) >= 1, "{kind}");
             assert!(t.throughput(kind) > 0.0, "{kind}");
         }
+        // §3.3: the logic pipeline accepts one instruction per cycle.
+        assert_eq!(t.throughput(UopKind::ZcompLogic), 1.0);
     }
 }

@@ -43,13 +43,7 @@ use zcomp_sim::faults::FaultSite;
 use crate::layer_exec::{
     read_uops_per_vector, stream_region, write_uops_per_vector, Region, Scheme,
 };
-
-/// Virtual base of the uncompressed input feature map.
-pub const X_BASE: u64 = 0x1000_0000;
-/// Virtual base of the compressed output stream's data region.
-pub const Y_BASE: u64 = 0x5000_0000;
-/// Virtual base of the separate header store ([`HeaderMode::Separate`]).
-pub const HEADER_BASE: u64 = 0x9000_0000;
+use crate::relu::{HEADER_BASE, X_BASE, Y_BASE};
 
 /// Integrity and degradation policy for a faulted layer run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

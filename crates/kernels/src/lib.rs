@@ -36,7 +36,6 @@ pub mod network_exec;
 pub mod nnz;
 pub mod partition;
 pub mod relu;
-pub mod relu_interval;
 
 pub use degrade::{run_layer_faulted, DegradeOpts, FaultyLayerReport, LayerOutcome};
 pub use layer_exec::Scheme;

@@ -27,11 +27,11 @@ use crate::nnz::LANES;
 use crate::partition::{partition, Parallelization};
 
 /// Base virtual address of the input tensor X.
-pub const X_BASE: u64 = 0x1000_0000;
+pub(crate) const X_BASE: u64 = 0x1000_0000;
 /// Base virtual address of the output tensor Y.
-pub const Y_BASE: u64 = 0x5000_0000;
+pub(crate) const Y_BASE: u64 = 0x5000_0000;
 /// Base virtual address of the avx512-comp / separate-header mask array.
-pub const HEADER_BASE: u64 = 0x9000_0000;
+pub(crate) const HEADER_BASE: u64 = 0x9000_0000;
 
 /// The evaluated ReLU implementations (legend of Fig. 12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

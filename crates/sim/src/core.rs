@@ -1,16 +1,12 @@
-//! Core timing models.
+//! The core timing model.
 //!
-//! Two models are provided, cross-validated by tests:
-//!
-//! * [`RooflineModel`] — the default. A phase's wall time is the maximum of
-//!   its issue-pressure bound (per-port micro-op throughput, 4-wide issue),
-//!   its per-thread L2/L3 fill-bandwidth bounds, its MSHR-limited exposed
-//!   memory latency, and the *global* DRAM and L3 bandwidth bounds shared
-//!   by all cores. This is the bulk-throughput regime the paper argues
-//!   ZCOMP operates in (§3.3: "ZCOMP usage becomes throughput-bound").
-//! * [`IntervalModel`] — a cycle-stepped per-iteration model in the spirit
-//!   of Sniper's interval simulation, used for small kernels and for
-//!   validating the roofline model's issue component.
+//! [`RooflineModel`] times every phase: a phase's wall time is the maximum
+//! of its issue-pressure bound (per-port micro-op throughput, 4-wide
+//! issue), its per-thread L2/L3 fill-bandwidth bounds, its MSHR-limited
+//! exposed memory latency, and the *global* DRAM bandwidth bound shared by
+//! all cores. This is the bulk-throughput regime the paper argues ZCOMP
+//! operates in (§3.3: "ZCOMP usage becomes throughput-bound"). It reads no
+//! per-uop latency, so dependency chains are not modelled.
 
 use serde::{Deserialize, Serialize};
 use zcomp_isa::uops::{UopCounts, UopTable};
@@ -61,11 +57,6 @@ impl RooflineModel {
     /// Creates the model for a machine and micro-op table.
     pub fn new(cfg: SimConfig, table: UopTable) -> Self {
         RooflineModel { cfg, table }
-    }
-
-    /// The micro-op table in use.
-    pub fn table(&self) -> &UopTable {
-        &self.table
     }
 
     /// Issue-pressure cycles for one thread's micro-ops.
@@ -142,117 +133,6 @@ impl RooflineModel {
     }
 }
 
-/// Cycle-stepped per-iteration timing model (Sniper-style interval
-/// simulation).
-///
-/// The caller feeds one loop iteration at a time via
-/// [`IntervalModel::step`]; the model advances a cycle cursor by the
-/// iteration's issue time, adds dependency-chain latency that the window
-/// cannot hide, and overlaps memory misses across an MSHR window.
-#[derive(Debug, Clone)]
-pub struct IntervalModel {
-    cfg: SimConfig,
-    table: UopTable,
-    now: f64,
-    /// Completion time of the oldest outstanding miss per MSHR slot.
-    mshr_free_at: Vec<f64>,
-    total_issue: f64,
-    total_mem_stall: f64,
-}
-
-impl IntervalModel {
-    /// Creates a model with an empty pipeline.
-    pub fn new(cfg: SimConfig, table: UopTable) -> Self {
-        let mshrs = cfg.l1d.mshrs.max(1);
-        IntervalModel {
-            cfg,
-            table,
-            now: 0.0,
-            mshr_free_at: vec![0.0; mshrs],
-            total_issue: 0.0,
-            total_mem_stall: 0.0,
-        }
-    }
-
-    /// Current cycle cursor.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Issue cycles accumulated so far.
-    pub fn issue_cycles(&self) -> f64 {
-        self.total_issue
-    }
-
-    /// Memory stall cycles accumulated so far.
-    pub fn memory_stall_cycles(&self) -> f64 {
-        self.total_mem_stall
-    }
-
-    /// Waits for all outstanding misses to complete (call at the end of a
-    /// kernel to account for the drain tail).
-    pub fn drain(&mut self) {
-        let last = self.mshr_free_at.iter().copied().fold(0.0f64, f64::max);
-        if last > self.now {
-            self.total_mem_stall += last - self.now;
-            self.now = last;
-        }
-    }
-
-    /// Advances the model by one iteration.
-    ///
-    /// * `uops` — the iteration's micro-op counts.
-    /// * `dep_chain_latency` — the critical-path latency of the iteration's
-    ///   internal dependency chain in cycles (serializes with the previous
-    ///   iteration when the iteration is loop-carried, e.g. the `zcompl`
-    ///   pointer chase).
-    /// * `access` — the iteration's memory outcome.
-    /// * `loop_carried` — whether `dep_chain_latency` serializes against
-    ///   the previous iteration (true for ZCOMP's auto-incremented pointer
-    ///   when the next address depends on the current header).
-    pub fn step(
-        &mut self,
-        uops: &UopCounts,
-        dep_chain_latency: f64,
-        access: &AccessResult,
-        loop_carried: bool,
-    ) {
-        let issue = self.table.min_cycles(uops);
-        self.total_issue += issue;
-        let mut next = self.now + issue;
-        if loop_carried {
-            next = next.max(self.now + dep_chain_latency);
-        }
-
-        // Memory: charge each line's beyond-L1 latency into the MSHR
-        // window; the iteration cannot complete before its oldest miss.
-        let lines = access.lines as u64;
-        if lines > 0 {
-            let hidden = lines * u64::from(self.cfg.l1d.hit_latency);
-            let per_line_extra = (access.latency_sum.saturating_sub(hidden)) as f64 / lines as f64;
-            for _ in 0..lines {
-                if per_line_extra <= 0.0 {
-                    continue;
-                }
-                // Allocate the earliest-free MSHR. The out-of-order window
-                // hides the miss itself; the core only stalls (advances its
-                // cursor) while waiting for a free MSHR.
-                let slot = self
-                    .mshr_free_at
-                    .iter_mut()
-                    .min_by(|a, b| a.partial_cmp(b).expect("finite times"))
-                    .expect("at least one MSHR");
-                let start = slot.max(self.now);
-                *slot = start + per_line_extra;
-                next = next.max(start);
-            }
-        }
-        let stall = (next - (self.now + issue)).max(0.0);
-        self.total_mem_stall += stall;
-        self.now = next;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,80 +199,5 @@ mod tests {
         let timing = model.time_phase(&threads, 0);
         assert!(timing.breakdown.sync > 0.0, "fast thread waits at barrier");
         assert_eq!(timing.wall_cycles, timing.thread_cycles[0]);
-    }
-
-    #[test]
-    fn interval_model_matches_roofline_for_issue_bound_loop() {
-        let c = cfg();
-        let table = UopTable::skylake_x();
-        let mut interval = IntervalModel::new(c.clone(), table);
-        let mut uops = UopCounts::new();
-        uops.add(UopKind::Load, 1);
-        uops.add(UopKind::VecAlu, 1);
-        uops.add(UopKind::Store, 1);
-        uops.add(UopKind::ScalarAlu, 1);
-        let access = AccessResult {
-            lines: 1,
-            served: {
-                let mut s = [0; 4];
-                s[ServedBy::L1 as usize] = 1;
-                s
-            },
-            latency_sum: u64::from(c.l1d.hit_latency),
-        };
-        for _ in 0..1000 {
-            interval.step(&uops, 4.0, &access, false);
-        }
-        let model = RooflineModel::new(c, table);
-        let mut acct = ThreadAccounting::default();
-        for _ in 0..1000 {
-            acct.uops.merge(&uops);
-            acct.access.merge(&access);
-        }
-        let roofline = model.thread_cycles(&acct);
-        let ratio = interval.now() / roofline;
-        assert!(
-            (0.9..1.1).contains(&ratio),
-            "interval {} vs roofline {roofline}",
-            interval.now()
-        );
-    }
-
-    #[test]
-    fn loop_carried_chain_serializes_interval_model() {
-        let c = cfg();
-        let table = UopTable::skylake_x();
-        let mut free = IntervalModel::new(c.clone(), table);
-        let mut carried = IntervalModel::new(c, table);
-        let mut uops = UopCounts::new();
-        uops.add(UopKind::ZcompLogic, 1);
-        let access = AccessResult::default();
-        for _ in 0..100 {
-            free.step(&uops, 10.0, &access, false);
-            carried.step(&uops, 10.0, &access, true);
-        }
-        assert!(carried.now() > free.now() * 5.0);
-    }
-
-    #[test]
-    fn mshr_window_overlaps_misses() {
-        let c = cfg();
-        let table = UopTable::skylake_x();
-        let mut m = IntervalModel::new(c.clone(), table);
-        let mut uops = UopCounts::new();
-        uops.add(UopKind::Load, 1);
-        let mut access = AccessResult {
-            lines: 1,
-            ..AccessResult::default()
-        };
-        access.served[ServedBy::Dram as usize] = 1;
-        access.latency_sum = 200;
-        for _ in 0..100 {
-            m.step(&uops, 4.0, &access, false);
-        }
-        // Fully serialized would be 100*196 = 19600; ten MSHRs must cut
-        // this several-fold.
-        assert!(m.now() < 19_600.0 / 4.0, "got {}", m.now());
-        assert!(m.memory_stall_cycles() > 0.0);
     }
 }

@@ -18,8 +18,7 @@
 //! * [`dram`] — DDR4 bandwidth/queueing model.
 //! * [`hierarchy`] — the composed memory system, trace-driven at cache-line
 //!   granularity with full fill/writeback/prefetch traffic accounting.
-//! * [`core`] — two core timing models: a bulk-throughput roofline model
-//!   and a Sniper-style interval model.
+//! * [`core`] — the core timing model, a bulk-throughput roofline.
 //! * [`engine`] — [`engine::Machine`], the façade the workload kernels
 //!   drive instruction by instruction.
 //!

@@ -172,13 +172,6 @@ fn footprints_are_feature_map_dominated() {
     assert!(avg > 0.40, "average feature-map share {avg}");
 }
 
-/// §3.3: the 3-cycle logic variant performs like the 2-cycle one.
-#[test]
-fn logic_latency_insensitivity() {
-    let r = ablations::logic_latency(256 * 1024, &[2, 3]);
-    assert!(r.relative_change().abs() < 0.05, "{}", r.relative_change());
-}
-
 /// §4.1: the interleaved header fits the original allocation exactly when
 /// compressibility exceeds 3.125%.
 #[test]
