@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 use zcomp_dnn::deepbench::DeepBenchConfig;
 use zcomp_isa::uops::UopTable;
-use zcomp_kernels::nnz::nnz_synthetic;
+use zcomp_kernels::nnz::{nnz_synthetic, LANES};
 use zcomp_kernels::relu::{run_relu, ReluOpts, ReluRunResult, ReluScheme};
 use zcomp_sim::config::{config_fingerprint, SimConfig};
 use zcomp_sim::engine::Machine;
@@ -288,12 +288,16 @@ fn simulate_cell(
     scale_divisor: usize,
     sparsity: f64,
 ) -> ReluRunResult {
-    let nnz = nnz_synthetic(
-        cell_elements(config, scale_divisor),
-        sparsity,
-        6.0,
-        cell_seed(index),
-    );
+    let elements = cell_elements(config, scale_divisor);
+    // The uncompressed kernel reads only the vector count, never NNZ
+    // (zcomp-kernels' `uncompressed_relu_is_blind_to_sparsity`), so its
+    // cells skip generating one.
+    let nnz = match scheme {
+        ReluScheme::Avx512Vec => vec![0u8; elements.div_ceil(LANES)],
+        ReluScheme::Avx512Comp | ReluScheme::Zcomp => {
+            nnz_synthetic(elements, sparsity, 6.0, cell_seed(index))
+        }
+    };
     run_relu(machine, scheme, &nnz, &ReluOpts::default())
 }
 

@@ -22,6 +22,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use serde::{Deserialize, Serialize};
+use zcomp_sim::budget::SimThread;
 use zcomp_trace::hash::Fnv1a64;
 use zcomp_trace::log_warn;
 
@@ -95,6 +96,10 @@ pub enum CacheMode {
 #[derive(Debug, Clone)]
 pub struct SweepOpts {
     /// Worker threads; `0` or `1` runs serially on the calling thread.
+    /// Cells still run one per worker, but a cell's batches may spread
+    /// over host threads no worker occupies (see `zcomp_sim::budget`), so
+    /// a serial sweep can use the whole host. Results are the same at
+    /// any thread count.
     pub threads: usize,
     /// Cache root hosting the per-experiment completion journals; `None`
     /// keeps no journal and every cell executes.
@@ -122,9 +127,9 @@ impl Default for SweepOpts {
 }
 
 impl SweepOpts {
-    /// Serial, uncached execution: every cell runs on the calling thread,
-    /// with no journal, so the sweep cannot return a
-    /// [`SweepError`].
+    /// Serial, uncached execution: cells run one at a time on the calling
+    /// thread (a cell's batches may still use free host threads), with no
+    /// journal, so the sweep cannot return a [`SweepError`].
     pub fn serial() -> Self {
         SweepOpts {
             threads: 1,
@@ -419,17 +424,23 @@ where
     let slots: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(items));
     std::thread::scope(|scope| {
         for _ in 0..threads.min(items) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items {
-                    break;
-                }
-                let result = worker(i);
-                match slots.lock() {
-                    Ok(mut v) => v.push((i, result)),
-                    // Another worker panicked while holding the lock; the
-                    // scope is about to propagate that panic anyway.
-                    Err(poisoned) => poisoned.into_inner().push((i, result)),
+            scope.spawn(|| {
+                // Workers count against the host-thread budget for their
+                // whole life, so batches start helpers only on host
+                // threads the sweep leaves free.
+                let _counted = SimThread::register();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= items {
+                        break;
+                    }
+                    let result = worker(i);
+                    match slots.lock() {
+                        Ok(mut v) => v.push((i, result)),
+                        // Another worker panicked while holding the lock;
+                        // the scope is about to propagate that panic anyway.
+                        Err(poisoned) => poisoned.into_inner().push((i, result)),
+                    }
                 }
             });
         }

@@ -9,7 +9,7 @@
 //! exact compression code paths.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::layer::{Layer, LayerKind, PoolKind};
@@ -258,39 +258,63 @@ impl TenantDrift {
 struct ActivationChain {
     rng: SmallRng,
     in_zero: bool,
-    p_exit_zero: f64,
-    p_enter_zero: f64,
+    /// [`bernoulli_threshold`] of the zero state's exit probability.
+    exit_zero: u64,
+    /// [`bernoulli_threshold`] of the zero state's entry probability.
+    enter_zero: u64,
+}
+
+/// The chain's (exit-zero, enter-zero) transition probabilities.
+fn chain_probabilities(sparsity: f64, mean_run: f64) -> (f64, f64) {
+    // Exit probability of the zero state sets the mean zero-run length;
+    // the entry probability is solved so the stationary zero fraction
+    // equals `sparsity`. High sparsity forces a feasibility floor on the
+    // run length: the stationary zero fraction is at most
+    // mean_run/(mean_run+1), so runs must average at least s/(1-s) —
+    // physically, very sparse maps have long zero runs.
+    let mean_run = if sparsity < 1.0 {
+        mean_run.max(sparsity / (1.0 - sparsity) * 1.05)
+    } else {
+        mean_run
+    };
+    let p_exit_zero = 1.0 / mean_run;
+    let p_enter_zero = if sparsity >= 1.0 {
+        1.0
+    } else {
+        (sparsity * p_exit_zero / (1.0 - sparsity)).min(1.0)
+    };
+    (p_exit_zero.clamp(0.0, 1.0), p_enter_zero.clamp(0.0, 1.0))
+}
+
+/// The integer form of a Bernoulli draw: for the top 53 bits `x` of a
+/// `next_u64`, `x < bernoulli_threshold(p)` holds exactly when the `rand`
+/// shim's `gen_bool(p)` test `x · 2⁻⁵³ < p` does (`x · 2⁻⁵³` and `p · 2⁵³`
+/// are exact, and an integer is below a real exactly when it is below
+/// its ceiling).
+fn bernoulli_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 impl ActivationChain {
     fn new(sparsity: f64, mean_run: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&sparsity), "sparsity must be in [0,1]");
         assert!(mean_run >= 1.0, "mean run length must be >= 1");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        // Exit probability of the zero state sets the mean zero-run
-        // length; the entry probability is solved so the stationary zero
-        // fraction equals `sparsity`. High sparsity forces a feasibility
-        // floor on the run length: the stationary zero fraction is at
-        // most mean_run/(mean_run+1), so runs must average at least
-        // s/(1-s) — physically, very sparse maps have long zero runs.
-        let mean_run = if sparsity < 1.0 {
-            mean_run.max(sparsity / (1.0 - sparsity) * 1.05)
-        } else {
-            mean_run
+        let (p_exit_zero, p_enter_zero) = chain_probabilities(sparsity, mean_run);
+        let mut chain = ActivationChain {
+            rng: SmallRng::seed_from_u64(seed),
+            in_zero: false,
+            exit_zero: bernoulli_threshold(p_exit_zero),
+            enter_zero: bernoulli_threshold(p_enter_zero),
         };
-        let p_exit_zero = 1.0 / mean_run;
-        let p_enter_zero = if sparsity >= 1.0 {
-            1.0
-        } else {
-            (sparsity * p_exit_zero / (1.0 - sparsity)).min(1.0)
-        };
-        let in_zero = rng.gen_bool(sparsity.clamp(0.0, 1.0));
-        ActivationChain {
-            rng,
-            in_zero,
-            p_exit_zero: p_exit_zero.clamp(0.0, 1.0),
-            p_enter_zero: p_enter_zero.clamp(0.0, 1.0),
-        }
+        chain.in_zero = chain.draw(bernoulli_threshold(sparsity));
+        chain
+    }
+
+    /// One Bernoulli draw against a precomputed threshold.
+    #[inline(always)]
+    fn draw(&mut self, threshold: u64) -> bool {
+        (self.rng.next_u64() >> 11) < threshold
     }
 
     /// The next element: `None` in the zero state, else a positive
@@ -299,14 +323,14 @@ impl ActivationChain {
     #[inline(always)]
     fn step(&mut self) -> Option<f32> {
         if self.in_zero {
-            if self.rng.gen_bool(self.p_exit_zero) {
+            if self.draw(self.exit_zero) {
                 self.in_zero = false;
             }
             None
         } else {
             // Positive activation magnitudes, roughly half-normal.
             let v = self.rng.gen_range(0.0f32..1.0).max(1e-3) * self.rng.gen_range(0.1f32..2.0);
-            if self.rng.gen_bool(self.p_enter_zero) {
+            if self.draw(self.enter_zero) {
                 self.in_zero = true;
             }
             Some(v)
@@ -394,6 +418,41 @@ pub fn measured_sparsity(data: &[f32]) -> f64 {
 mod tests {
     use super::*;
     use crate::models::{vgg16, ModelId};
+
+    #[test]
+    fn threshold_draws_match_gen_bool() {
+        // At the edges, `x < threshold` must be `x · 2⁻⁵³ < p` for every
+        // 53-bit `x`: never at 0, only x = 0 at 2⁻⁵³ and 2⁻⁵⁴, all but the
+        // top x at 1 − 2⁻⁵³, always at 1.
+        assert_eq!(bernoulli_threshold(0.0), 0);
+        assert_eq!(bernoulli_threshold(2f64.powi(-53)), 1);
+        assert_eq!(
+            bernoulli_threshold(2f64.powi(-54)),
+            1,
+            "x < 0.5 only at x = 0"
+        );
+        assert_eq!(bernoulli_threshold(1.0 - 2f64.powi(-53)), (1 << 53) - 1);
+        assert_eq!(bernoulli_threshold(1.0), 1 << 53);
+        let mut probabilities = vec![0.0, 1.0, 2f64.powi(-53), 1.0 - 2f64.powi(-53), 0.5];
+        for sparsity in [0.2, 0.53, 0.8] {
+            let (exit, enter) = chain_probabilities(sparsity, 6.0);
+            probabilities.extend([sparsity, exit, enter]);
+        }
+        for p in probabilities {
+            let threshold = bernoulli_threshold(p);
+            let mut a = SmallRng::seed_from_u64(0x5EED);
+            let mut b = SmallRng::seed_from_u64(0x5EED);
+            for _ in 0..20_000 {
+                assert_eq!((a.next_u64() >> 11) < threshold, b.gen_bool(p), "p = {p}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "probability must be in [0,1]")]
+    fn threshold_rejects_out_of_range_probabilities() {
+        bernoulli_threshold(1.5);
+    }
 
     #[test]
     fn generated_sparsity_matches_target() {

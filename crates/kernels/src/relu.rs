@@ -668,6 +668,32 @@ mod tests {
     }
 
     #[test]
+    fn uncompressed_relu_is_blind_to_sparsity() {
+        // Fig. 12 feeds the avx512-vec cells an all-zero NNZ sequence of
+        // the right length instead of generating one, on the strength of
+        // this invariance: its loads and stores never read NNZ.
+        let real = nnz_synthetic(64 * 1024, 0.53, 6.0, 7);
+        let zeros = vec![0u8; real.len()];
+        let run = |scheme, nnz: &[u8]| {
+            let mut m = machine();
+            let result = run_relu(&mut m, scheme, nnz, &ReluOpts::default());
+            (result, m.summary())
+        };
+        let (a, sa) = run(ReluScheme::Avx512Vec, &real);
+        let (b, sb) = run(ReluScheme::Avx512Vec, &zeros);
+        // Traffic, cache statistics and the rest compare by value; cycles
+        // by bits.
+        assert_eq!(a.measured_cycles.to_bits(), b.measured_cycles.to_bits());
+        assert_eq!(sa.wall_cycles.to_bits(), sb.wall_cycles.to_bits());
+        assert_eq!(a, b);
+        assert_eq!(sa, sb);
+        // The same pair is distinguishable once compression reads it.
+        let (za, _) = run(ReluScheme::Zcomp, &real);
+        let (zb, _) = run(ReluScheme::Zcomp, &zeros);
+        assert_ne!(za.traffic.core_write_bytes, zb.traffic.core_write_bytes);
+    }
+
+    #[test]
     #[should_panic(expected = "thread count")]
     fn too_many_threads_panics() {
         let nnz = vec![8u8; 16];

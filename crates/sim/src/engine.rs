@@ -13,6 +13,8 @@ use zcomp_isa::instr::{AccessKind, Instr, MemAccess};
 use zcomp_isa::program::{BatchLane, InstrProgram};
 use zcomp_isa::uops::UopTable;
 
+use crate::batch;
+use crate::budget::{Helpers, SimThread};
 use crate::config::SimConfig;
 use crate::core::{RooflineModel, ThreadAccounting};
 use crate::faults::{FaultConfig, FaultEvent, FaultSite};
@@ -246,12 +248,18 @@ impl Machine {
     ///
     /// The program's loop body runs once per (step, lane) in step-major,
     /// lane-minor order — exactly the issue order of the reference
-    /// kernels, so shared, order-dependent hierarchy state (L3, DRAM,
-    /// prefetchers) evolves identically. Per-op dispatch, uop-table
-    /// decode and observer checks are amortized: memory accesses are
-    /// issued directly from the decoded ops, and uop/instruction
-    /// accounting is applied in closed form per lane (integer totals, so
-    /// the sums are bit-identical to per-op accumulation).
+    /// kernels, so the shared, order-dependent hierarchy state (L3, DRAM,
+    /// mesh) evolves identically. Per-op dispatch, uop-table decode and
+    /// observer checks are amortized: memory accesses are issued directly
+    /// from the decoded ops, and uop/instruction accounting is applied in
+    /// closed form per lane (integer totals, so the sums are bit-identical
+    /// to per-op accumulation).
+    ///
+    /// A large batch spreads its cores' private caches over the host
+    /// threads the process has free (see [`crate::budget`]) and replays
+    /// their L3 requests in issue order on the calling thread, so every
+    /// result is the same at any thread count (see `batch`). A trace
+    /// session runs it on the calling thread alone.
     ///
     /// With an observer attached the batch falls back to materializing
     /// each [`Instr`] and funnelling it through [`exec`](Self::exec), so
@@ -266,34 +274,34 @@ impl Machine {
             self.exec_batch_observed(program, lanes, nnz);
             return;
         }
+        let _caller = SimThread::register();
+        let want = if zcomp_trace::tracer::enabled() {
+            0
+        } else {
+            batch::useful_helpers(lanes)
+        };
+        let helpers = Helpers::reserve(want);
+        self.exec_batch_groups(program, lanes, nnz, 1 + helpers.count());
+    }
+
+    /// [`exec_batch`](Self::exec_batch) with the lanes' cores split over
+    /// up to `groups` host threads.
+    pub(crate) fn exec_batch_groups(
+        &mut self,
+        program: &InstrProgram,
+        lanes: &mut [BatchLane],
+        nnz: &[u8],
+        groups: usize,
+    ) {
         self.trace_phase_open();
-        let max_vecs = lanes.iter().map(|l| l.vectors).max().unwrap_or(0);
-        for step in 0..max_vecs {
-            for lane in lanes.iter_mut() {
-                if step >= lane.vectors {
-                    continue;
-                }
-                let n = u32::from(nnz[lane.first_vec + step]);
-                let t = lane.thread;
-                for op in program.ops() {
-                    let (a, b) = op.accesses(&mut lane.cursors, n);
-                    if let Some(acc) = a {
-                        let result = match acc.kind {
-                            AccessKind::Read => self.mem.read(t, acc.addr, acc.bytes),
-                            AccessKind::Write => self.mem.write(t, acc.addr, acc.bytes),
-                        };
-                        self.threads[t].access.merge(&result);
-                    }
-                    if let Some(acc) = b {
-                        let result = match acc.kind {
-                            AccessKind::Read => self.mem.read(t, acc.addr, acc.bytes),
-                            AccessKind::Write => self.mem.write(t, acc.addr, acc.bytes),
-                        };
-                        self.threads[t].access.merge(&result);
-                    }
-                }
-            }
-        }
+        batch::run(
+            program,
+            lanes,
+            nnz,
+            &mut self.mem,
+            &mut self.threads,
+            groups,
+        );
         // Closed-form accounting: per-iteration uop counts are constants
         // of the program (independent of NNZ and addresses), so the batch
         // totals are exact integer multiples — bit-identical to the

@@ -9,18 +9,30 @@
 //! not back-invalidate private copies. Coherence is modelled as
 //! write-invalidation of other cores' private copies, exposed via
 //! [`MemorySystem::write_invalidate`]; the partitioned workloads of the
-//! paper never write-share lines, so the execution engine only invokes it
-//! for accesses flagged as shared.
+//! paper never write-share lines, so nothing in the program calls it.
+//!
+//! The hierarchy is split at the L3. Each core's private levels
+//! (`CoreCaches`) never read the L3 or another core: they send the
+//! shared side three kinds of request through an `L3Port` (a demand
+//! fill, a dirty writeback, a prefetch fill) and nothing they do depends
+//! on the answer. An L3 lookup only adds latency, a serving level and
+//! DRAM bytes to the requesting core's totals. So the private levels of
+//! different cores may run apart, as long as the shared side
+//! (`SharedLevels`) receives the requests in their original order —
+//! which is what the batch driver behind
+//! [`Machine::exec_batch`](crate::engine::Machine::exec_batch) does.
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::CacheArray;
+use crate::cache::{CacheArray, EvictedLine};
 use crate::config::{SimConfig, LINE_BYTES};
 use crate::dram::DramModel;
 use crate::faults::{FaultConfig, FaultEvent, FaultProbe, FaultSite};
 use crate::noc::Mesh;
 use crate::prefetch::{PrefetchTargets, StreamPrefetcher};
 use crate::stats::{CacheStats, FaultStats, PrefetchStats, TrafficStats};
+
+const LINE: u64 = LINE_BYTES as u64;
 
 /// Which level served a demand line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -68,6 +80,331 @@ impl AccessResult {
     }
 }
 
+/// The shared side as the private levels see it. Calls arrive in exactly
+/// the order the private levels issue them.
+pub(crate) trait L3Port {
+    /// Demand fill of `line_addr` after `core`'s L2 missed. Returns the
+    /// serving level and the L3-side latency when they are known at once.
+    fn demand(
+        &mut self,
+        core: usize,
+        line_addr: u64,
+        traffic: &mut TrafficStats,
+    ) -> Option<(ServedBy, u32)>;
+
+    /// A dirty L2 victim written back into the L3.
+    fn writeback(&mut self, line_addr: u64, traffic: &mut TrafficStats);
+
+    /// A prefetched line pulled through the L3 (from DRAM if absent).
+    fn prefetch_fill(&mut self, line_addr: u64, traffic: &mut TrafficStats);
+}
+
+/// One core's private levels: L1-D, L2, their prefetchers and the
+/// prefetchers' reused target buffers. Aligned to a pair of host cache
+/// lines, so cores advanced on different host threads never write to a
+/// shared line.
+#[derive(Debug)]
+#[repr(align(128))]
+pub(crate) struct CoreCaches {
+    core: usize,
+    l1: CacheArray,
+    l2: CacheArray,
+    l1_pf: StreamPrefetcher,
+    l2_pf: StreamPrefetcher,
+    /// Reused L1-prefetch target buffer: cleared before each observe so
+    /// the demand path never re-zeroes a fresh fixed-capacity buffer.
+    l1_targets: PrefetchTargets,
+    /// Reused L2-prefetch target buffer. Shared by `access_l2` and
+    /// `prefetch_into_l1`, whose uses never overlap: each fully drains the
+    /// buffer before the other runs.
+    l2_targets: PrefetchTargets,
+}
+
+impl CoreCaches {
+    fn new(core: usize, cfg: &SimConfig) -> Self {
+        CoreCaches {
+            core,
+            l1: CacheArray::new(cfg.l1d),
+            l2: CacheArray::new(cfg.l2),
+            l1_pf: StreamPrefetcher::new(cfg.l1_prefetch),
+            l2_pf: StreamPrefetcher::new(cfg.l2_prefetch),
+            l1_targets: PrefetchTargets::new(),
+            l2_targets: PrefetchTargets::new(),
+        }
+    }
+
+    /// Demand access of `bytes` bytes at `addr` (write-allocate: a missing
+    /// line is fetched before being dirtied). Core bytes, L2 fills and
+    /// the L3-side counters the port adds go to `traffic`.
+    pub(crate) fn access<P: L3Port>(
+        &mut self,
+        port: &mut P,
+        traffic: &mut TrafficStats,
+        addr: u64,
+        bytes: u32,
+        is_write: bool,
+    ) -> AccessResult {
+        if is_write {
+            traffic.core_write_bytes += u64::from(bytes);
+        } else {
+            traffic.core_read_bytes += u64::from(bytes);
+        }
+        let mut result = AccessResult::default();
+        if bytes == 0 {
+            return result;
+        }
+        let first = addr / LINE;
+        let last = (addr + u64::from(bytes) - 1) / LINE;
+        for line in first..=last {
+            let (served, latency) = self.access_one(port, traffic, line * LINE, is_write);
+            result.lines += 1;
+            if let Some(level) = served {
+                result.served[level as usize] += 1;
+            }
+            result.latency_sum += u64::from(latency);
+        }
+        result
+    }
+
+    /// One demand line access; returns its latency and, unless the port
+    /// defers the L3 side, its serving level.
+    fn access_one<P: L3Port>(
+        &mut self,
+        port: &mut P,
+        traffic: &mut TrafficStats,
+        line_addr: u64,
+        is_write: bool,
+    ) -> (Option<ServedBy>, u32) {
+        // L1 prefetcher observes every demand access. Targets go into the
+        // reused fixed-capacity buffer: the demand path allocates nothing
+        // and never re-zeroes the backing array.
+        self.l1_targets.clear();
+        self.l1_pf.observe(line_addr, &mut self.l1_targets);
+
+        let l1 = self.l1.access(line_addr, is_write, false);
+        if l1.first_demand_of_prefetch {
+            self.l1_pf.record_useful();
+            self.l1_pf.record_demand_miss();
+        }
+        let l1_latency = self.l1.config().hit_latency;
+        let out = if l1.hit {
+            (Some(ServedBy::L1), l1_latency)
+        } else {
+            // L1 writeback goes to L2.
+            if let Some(ev) = l1.evicted {
+                if ev.dirty {
+                    self.fill_l2_writeback(port, traffic, ev.addr);
+                }
+            }
+            // Fill from L2 and below.
+            traffic.l2_fill_bytes += LINE;
+            let (below, below_latency) = self.access_l2(port, traffic, line_addr);
+            (below, l1_latency + below_latency)
+        };
+
+        // Issue L1 prefetches after the demand completes. Indexed drain:
+        // the callee uses the L2 target buffer, never this one.
+        for i in 0..self.l1_targets.len() {
+            let target = self.l1_targets.as_slice()[i];
+            self.prefetch_into_l1(port, traffic, target);
+        }
+        out
+    }
+
+    /// L2 demand access after an L1 miss.
+    fn access_l2<P: L3Port>(
+        &mut self,
+        port: &mut P,
+        traffic: &mut TrafficStats,
+        line_addr: u64,
+    ) -> (Option<ServedBy>, u32) {
+        // The L2 stream prefetcher trains on the L2 access stream —
+        // including accesses generated by ZCOMP micro-ops (§3.3).
+        self.l2_targets.clear();
+        self.l2_pf.observe(line_addr, &mut self.l2_targets);
+
+        let l2 = self.l2.access(line_addr, false, false);
+        if l2.first_demand_of_prefetch {
+            self.l2_pf.record_useful();
+            self.l2_pf.record_demand_miss();
+        }
+        let l2_latency = self.l2.config().hit_latency;
+        let out = if l2.hit {
+            (Some(ServedBy::L2), l2_latency)
+        } else {
+            self.l2_pf.record_demand_miss();
+            write_back(port, traffic, l2.evicted);
+            match port.demand(self.core, line_addr, traffic) {
+                Some((level, latency)) => (Some(level), l2_latency + latency),
+                None => (None, l2_latency),
+            }
+        };
+
+        for i in 0..self.l2_targets.len() {
+            let target = self.l2_targets.as_slice()[i];
+            self.prefetch_into_l2(port, traffic, target);
+        }
+        out
+    }
+
+    /// Dirty L1 line written back into L2.
+    fn fill_l2_writeback<P: L3Port>(
+        &mut self,
+        port: &mut P,
+        traffic: &mut TrafficStats,
+        line_addr: u64,
+    ) {
+        traffic.l2_fill_bytes += LINE;
+        let l2 = self.l2.access(line_addr, true, false);
+        if !l2.hit {
+            write_back(port, traffic, l2.evicted);
+        }
+        // A writeback that misses L2 allocates there (NINE victim path);
+        // it does not fetch from below.
+    }
+
+    /// L1 prefetch: fills L1 (and L2 on the way) without counting demand
+    /// statistics. An L1-prefetch lookup that finds an L2-prefetched line
+    /// proves that L2 prefetch useful.
+    fn prefetch_into_l1<P: L3Port>(
+        &mut self,
+        port: &mut P,
+        traffic: &mut TrafficStats,
+        line_addr: u64,
+    ) {
+        let Some(l1) = self.l1.fill_if_absent(line_addr) else {
+            return;
+        };
+        if let Some(ev) = l1.evicted {
+            if ev.dirty {
+                self.fill_l2_writeback(port, traffic, ev.addr);
+            }
+        }
+        traffic.l2_fill_bytes += LINE;
+        // The L2 prefetcher trains on every L2 request — L1 prefetches
+        // included — so an active L1 prefetcher does not starve it of the
+        // stream.
+        self.l2_targets.clear();
+        self.l2_pf.observe(line_addr, &mut self.l2_targets);
+
+        let l2 = self.l2.access(line_addr, false, true);
+        if l2.first_demand_of_prefetch {
+            self.l2_pf.record_useful();
+            self.l2_pf.record_demand_miss();
+        }
+        if !l2.hit {
+            // Without the L1 prefetch this would have been a demand miss:
+            // count it in the coverage baseline as uncovered.
+            self.l2_pf.record_demand_miss();
+            write_back(port, traffic, l2.evicted);
+            port.prefetch_fill(line_addr, traffic);
+        }
+        for i in 0..self.l2_targets.len() {
+            let target = self.l2_targets.as_slice()[i];
+            self.prefetch_into_l2(port, traffic, target);
+        }
+    }
+
+    /// L2 prefetch: fills L2 from L3/DRAM without counting demand
+    /// statistics.
+    fn prefetch_into_l2<P: L3Port>(
+        &mut self,
+        port: &mut P,
+        traffic: &mut TrafficStats,
+        line_addr: u64,
+    ) {
+        let Some(l2) = self.l2.fill_if_absent(line_addr) else {
+            return;
+        };
+        write_back(port, traffic, l2.evicted);
+        port.prefetch_fill(line_addr, traffic);
+    }
+}
+
+/// Sends a dirty L2 victim to the L3.
+fn write_back<P: L3Port>(port: &mut P, traffic: &mut TrafficStats, evicted: Option<EvictedLine>) {
+    if let Some(ev) = evicted {
+        if ev.dirty {
+            port.writeback(ev.addr, traffic);
+        }
+    }
+}
+
+/// The shared side: the L3, DRAM and the mesh that reaches the L3 slices.
+/// It counts the L3 fill and DRAM bytes of every request it serves.
+#[derive(Debug)]
+pub(crate) struct SharedLevels {
+    l3: CacheArray,
+    dram: DramModel,
+    mesh: Mesh,
+}
+
+impl SharedLevels {
+    /// Writes a dirty L3 victim back to DRAM.
+    fn evict(&mut self, evicted: Option<EvictedLine>, traffic: &mut TrafficStats) {
+        if let Some(ev) = evicted {
+            if ev.dirty {
+                self.dram.record_transfer(ev.addr, LINE);
+                traffic.dram_bytes += LINE;
+            }
+        }
+    }
+}
+
+impl L3Port for SharedLevels {
+    fn demand(
+        &mut self,
+        core: usize,
+        line_addr: u64,
+        traffic: &mut TrafficStats,
+    ) -> Option<(ServedBy, u32)> {
+        traffic.l3_fill_bytes += LINE;
+        let noc = self.mesh.l3_round_trip_faulted(core, line_addr);
+        let l3 = self.l3.access(line_addr, false, false);
+        let l3_latency = self.l3.config().hit_latency + noc;
+        if l3.hit {
+            return Some((ServedBy::L3, l3_latency));
+        }
+        self.evict(l3.evicted, traffic);
+        let dram_latency = self.dram.record_transfer(line_addr, LINE);
+        traffic.dram_bytes += LINE;
+        Some((ServedBy::Dram, l3_latency + dram_latency))
+    }
+
+    fn writeback(&mut self, line_addr: u64, traffic: &mut TrafficStats) {
+        traffic.l3_fill_bytes += LINE;
+        let l3 = self.l3.access(line_addr, true, false);
+        if !l3.hit {
+            self.evict(l3.evicted, traffic);
+        }
+    }
+
+    fn prefetch_fill(&mut self, line_addr: u64, traffic: &mut TrafficStats) {
+        traffic.l3_fill_bytes += LINE;
+        // A single access serves both cases: a hit only touches L3
+        // recency, a miss fills the line from DRAM.
+        let l3 = self.l3.access(line_addr, false, true);
+        if !l3.hit {
+            self.evict(l3.evicted, traffic);
+            self.dram.record_transfer(line_addr, LINE);
+            traffic.dram_bytes += LINE;
+        }
+    }
+}
+
+/// Emits the cumulative fill counters roughly every 8192 demand lines
+/// while a trace session records (per-line samples would swamp a trace).
+pub(crate) fn sample_fill_counters(tick: &mut u64, traffic: &TrafficStats, lines: u32) {
+    if !zcomp_trace::tracer::enabled() || lines == 0 {
+        return;
+    }
+    *tick += u64::from(lines);
+    if tick.is_multiple_of(8192) {
+        zcomp_trace::tracer::counter("sim.l2_fill_bytes", traffic.l2_fill_bytes as f64);
+        zcomp_trace::tracer::counter("sim.l3_fill_bytes", traffic.l3_fill_bytes as f64);
+    }
+}
+
 /// The complete modelled memory system.
 ///
 /// # Example
@@ -85,51 +422,40 @@ impl AccessResult {
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: SimConfig,
-    l1: Vec<CacheArray>,
-    l2: Vec<CacheArray>,
-    l1_pf: Vec<StreamPrefetcher>,
-    l2_pf: Vec<StreamPrefetcher>,
-    l3: CacheArray,
-    dram: DramModel,
-    mesh: Mesh,
+    cores: Vec<CoreCaches>,
+    shared: SharedLevels,
     traffic: TrafficStats,
     /// Detections reported back by the consumer, per fault site.
     fault_detected: [u64; FaultSite::COUNT],
     /// Demand line accesses seen, for sampled trace counters.
     trace_tick: u64,
-    /// Reused L1-prefetch target buffer: cleared before each observe so
-    /// the demand path never re-zeroes a fresh fixed-capacity buffer.
-    l1_targets: PrefetchTargets,
-    /// Reused L2-prefetch target buffer. Shared by `access_l2` and
-    /// `prefetch_into_l1`, whose uses never overlap: each fully drains the
-    /// buffer before the other runs.
-    l2_targets: PrefetchTargets,
+}
+
+/// What the batch driver borrows from a [`MemorySystem`]: the per-core
+/// private levels, the shared side, the traffic totals and the trace
+/// sample tick.
+pub(crate) struct MemoryParts<'a> {
+    pub(crate) cores: &'a mut [CoreCaches],
+    pub(crate) shared: &'a mut SharedLevels,
+    pub(crate) traffic: &'a mut TrafficStats,
+    pub(crate) trace_tick: &'a mut u64,
 }
 
 impl MemorySystem {
     /// Builds a cold memory system for the given machine.
     pub fn new(cfg: SimConfig) -> Self {
-        let l1 = (0..cfg.cores).map(|_| CacheArray::new(cfg.l1d)).collect();
-        let l2 = (0..cfg.cores).map(|_| CacheArray::new(cfg.l2)).collect();
-        let l1_pf = (0..cfg.cores)
-            .map(|_| StreamPrefetcher::new(cfg.l1_prefetch))
-            .collect();
-        let l2_pf = (0..cfg.cores)
-            .map(|_| StreamPrefetcher::new(cfg.l2_prefetch))
-            .collect();
         MemorySystem {
-            l3: CacheArray::new(cfg.l3),
-            dram: DramModel::new(cfg.dram, cfg.clock_hz),
-            mesh: Mesh::new(cfg.noc),
-            l1,
-            l2,
-            l1_pf,
-            l2_pf,
+            cores: (0..cfg.cores)
+                .map(|core| CoreCaches::new(core, &cfg))
+                .collect(),
+            shared: SharedLevels {
+                l3: CacheArray::new(cfg.l3),
+                dram: DramModel::new(cfg.dram, cfg.clock_hz),
+                mesh: Mesh::new(cfg.noc),
+            },
             traffic: TrafficStats::new(),
             fault_detected: [0; FaultSite::COUNT],
             trace_tick: 0,
-            l1_targets: PrefetchTargets::new(),
-            l2_targets: PrefetchTargets::new(),
             cfg,
         }
     }
@@ -140,26 +466,28 @@ impl MemorySystem {
     /// index — so replays are bit-for-bit identical and enabling one site
     /// does not perturb another site's stream.
     pub fn attach_faults(&mut self, faults: &FaultConfig) {
-        if faults.l1_line > 0.0 {
-            for (core, l1) in self.l1.iter_mut().enumerate() {
-                l1.attach_fault_probe(FaultProbe::new(faults, FaultSite::L1Line, core as u64));
+        for (core, c) in self.cores.iter_mut().enumerate() {
+            if faults.l1_line > 0.0 {
+                c.l1.attach_fault_probe(FaultProbe::new(faults, FaultSite::L1Line, core as u64));
+            }
+            if faults.l2_line > 0.0 {
+                c.l2.attach_fault_probe(FaultProbe::new(faults, FaultSite::L2Line, core as u64));
             }
         }
-        if faults.l2_line > 0.0 {
-            for (core, l2) in self.l2.iter_mut().enumerate() {
-                l2.attach_fault_probe(FaultProbe::new(faults, FaultSite::L2Line, core as u64));
-            }
-        }
+        let shared = &mut self.shared;
         if faults.l3_line > 0.0 {
-            self.l3
+            shared
+                .l3
                 .attach_fault_probe(FaultProbe::new(faults, FaultSite::L3Line, 0));
         }
         if faults.dram_burst > 0.0 {
-            self.dram
+            shared
+                .dram
                 .attach_fault_probe(FaultProbe::new(faults, FaultSite::DramBurst, 0));
         }
         if faults.noc_flit > 0.0 {
-            self.mesh
+            shared
+                .mesh
                 .attach_fault_probe(FaultProbe::new(faults, FaultSite::NocFlit, 0));
         }
     }
@@ -171,15 +499,15 @@ impl MemorySystem {
     /// [`record_fault_detection`](Self::record_fault_detection).
     pub fn drain_fault_events(&mut self) -> Vec<FaultEvent> {
         let mut out = Vec::new();
-        for l1 in &mut self.l1 {
-            l1.drain_faults(&mut out);
+        for c in &mut self.cores {
+            c.l1.drain_faults(&mut out);
         }
-        for l2 in &mut self.l2 {
-            l2.drain_faults(&mut out);
+        for c in &mut self.cores {
+            c.l2.drain_faults(&mut out);
         }
-        self.l3.drain_faults(&mut out);
-        self.dram.drain_faults(&mut out);
-        self.mesh.drain_faults(&mut out);
+        self.shared.l3.drain_faults(&mut out);
+        self.shared.dram.drain_faults(&mut out);
+        self.shared.mesh.drain_faults(&mut out);
         out
     }
 
@@ -196,15 +524,13 @@ impl MemorySystem {
             detected: self.fault_detected,
             ..FaultStats::default()
         };
-        for l1 in &self.l1 {
-            s.injected[FaultSite::L1Line as usize] += l1.faults_injected();
+        for c in &self.cores {
+            s.injected[FaultSite::L1Line as usize] += c.l1.faults_injected();
+            s.injected[FaultSite::L2Line as usize] += c.l2.faults_injected();
         }
-        for l2 in &self.l2 {
-            s.injected[FaultSite::L2Line as usize] += l2.faults_injected();
-        }
-        s.injected[FaultSite::L3Line as usize] = self.l3.faults_injected();
-        s.injected[FaultSite::DramBurst as usize] = self.dram.faults_injected();
-        s.injected[FaultSite::NocFlit as usize] = self.mesh.faults_injected();
+        s.injected[FaultSite::L3Line as usize] = self.shared.l3.faults_injected();
+        s.injected[FaultSite::DramBurst as usize] = self.shared.dram.faults_injected();
+        s.injected[FaultSite::NocFlit as usize] = self.shared.mesh.faults_injected();
         s
     }
 
@@ -220,14 +546,14 @@ impl MemorySystem {
 
     /// DRAM accounting.
     pub fn dram(&self) -> &DramModel {
-        &self.dram
+        &self.shared.dram
     }
 
     /// Combined L1 statistics across cores.
     pub fn l1_stats(&self) -> CacheStats {
         let mut s = CacheStats::default();
-        for c in &self.l1 {
-            s.merge(c.stats());
+        for c in &self.cores {
+            s.merge(c.l1.stats());
         }
         s
     }
@@ -235,299 +561,75 @@ impl MemorySystem {
     /// Combined L2 statistics across cores.
     pub fn l2_stats(&self) -> CacheStats {
         let mut s = CacheStats::default();
-        for c in &self.l2 {
-            s.merge(c.stats());
+        for c in &self.cores {
+            s.merge(c.l2.stats());
         }
         s
     }
 
     /// Shared L3 statistics.
     pub fn l3_stats(&self) -> &CacheStats {
-        self.l3.stats()
+        self.shared.l3.stats()
     }
 
     /// Combined L2-prefetcher statistics across cores (§3.3 reports
     /// 98–99% accuracy and 94–97% coverage on the evaluated workloads).
     pub fn l2_prefetch_stats(&self) -> PrefetchStats {
         let mut s = PrefetchStats::default();
-        for p in &self.l2_pf {
-            s.merge(p.stats());
+        for c in &self.cores {
+            s.merge(c.l2_pf.stats());
         }
         s
     }
 
     /// Demand read of `bytes` bytes at `addr` from `core`.
     pub fn read(&mut self, core: usize, addr: u64, bytes: u32) -> AccessResult {
-        self.traffic.core_read_bytes += u64::from(bytes);
-        self.access_lines(core, addr, bytes, false)
+        self.access(core, addr, bytes, false)
     }
 
     /// Demand write of `bytes` bytes at `addr` from `core`
     /// (write-allocate: a missing line is fetched before being dirtied).
     pub fn write(&mut self, core: usize, addr: u64, bytes: u32) -> AccessResult {
-        self.traffic.core_write_bytes += u64::from(bytes);
-        self.access_lines(core, addr, bytes, true)
+        self.access(core, addr, bytes, true)
+    }
+
+    /// One demand access, applied to the shared side at once.
+    fn access(&mut self, core: usize, addr: u64, bytes: u32, is_write: bool) -> AccessResult {
+        assert!(core < self.cfg.cores, "core index out of range");
+        let result =
+            self.cores[core].access(&mut self.shared, &mut self.traffic, addr, bytes, is_write);
+        sample_fill_counters(&mut self.trace_tick, &self.traffic, result.lines);
+        result
     }
 
     /// Invalidates other cores' private copies of the lines in
     /// `[addr, addr+bytes)` — the coherence action a store to a shared
     /// line would trigger. Dirty remote copies are written back to L3.
     pub fn write_invalidate(&mut self, writer: usize, addr: u64, bytes: u32) {
-        let first = addr / LINE_BYTES as u64;
-        let last = (addr + u64::from(bytes).max(1) - 1) / LINE_BYTES as u64;
+        let first = addr / LINE;
+        let last = (addr + u64::from(bytes).max(1) - 1) / LINE;
         for line in first..=last {
-            let line_addr = line * LINE_BYTES as u64;
-            for core in 0..self.cfg.cores {
+            let line_addr = line * LINE;
+            for (core, c) in self.cores.iter_mut().enumerate() {
                 if core == writer {
                     continue;
                 }
-                if let Some(dirty) = self.l1[core].invalidate(line_addr) {
-                    if dirty {
-                        self.l3.access(line_addr, true, false);
-                        self.traffic.l3_fill_bytes += LINE_BYTES as u64;
-                    }
-                }
-                if let Some(dirty) = self.l2[core].invalidate(line_addr) {
-                    if dirty {
-                        self.l3.access(line_addr, true, false);
-                        self.traffic.l3_fill_bytes += LINE_BYTES as u64;
+                for private in [&mut c.l1, &mut c.l2] {
+                    if private.invalidate(line_addr) == Some(true) {
+                        self.shared.writeback(line_addr, &mut self.traffic);
                     }
                 }
             }
         }
     }
 
-    fn access_lines(&mut self, core: usize, addr: u64, bytes: u32, is_write: bool) -> AccessResult {
-        assert!(core < self.cfg.cores, "core index out of range");
-        let mut result = AccessResult::default();
-        if bytes == 0 {
-            return result;
-        }
-        let first = addr / LINE_BYTES as u64;
-        let last = (addr + u64::from(bytes) - 1) / LINE_BYTES as u64;
-        for line in first..=last {
-            let line_addr = line * LINE_BYTES as u64;
-            let (served, latency) = self.access_one(core, line_addr, is_write);
-            result.lines += 1;
-            result.served[served as usize] += 1;
-            result.latency_sum += u64::from(latency);
-        }
-        if zcomp_trace::tracer::enabled() {
-            self.trace_tick += result.lines as u64;
-            // Per-line samples would swamp a trace; emit the cumulative
-            // fill counters roughly every 8192 demand lines.
-            if self.trace_tick.is_multiple_of(8192) {
-                zcomp_trace::tracer::counter(
-                    "sim.l2_fill_bytes",
-                    self.traffic.l2_fill_bytes as f64,
-                );
-                zcomp_trace::tracer::counter(
-                    "sim.l3_fill_bytes",
-                    self.traffic.l3_fill_bytes as f64,
-                );
-            }
-        }
-        result
-    }
-
-    /// One demand line access from `core`; returns the serving level and
-    /// its latency.
-    fn access_one(&mut self, core: usize, line_addr: u64, is_write: bool) -> (ServedBy, u32) {
-        // L1 prefetcher observes every demand access. Targets go into the
-        // reused fixed-capacity buffer: the demand path allocates nothing
-        // and never re-zeroes the backing array.
-        self.l1_targets.clear();
-        let Self {
-            l1_pf, l1_targets, ..
-        } = self;
-        l1_pf[core].observe(line_addr, l1_targets);
-
-        let l1 = self.l1[core].access(line_addr, is_write, false);
-        if l1.first_demand_of_prefetch {
-            self.l1_pf[core].record_useful();
-            self.l1_pf[core].record_demand_miss();
-        }
-        let (served, latency) = if l1.hit {
-            (ServedBy::L1, self.cfg.l1d.hit_latency)
-        } else {
-            // L1 writeback goes to L2.
-            if let Some(ev) = l1.evicted {
-                if ev.dirty {
-                    self.fill_l2_writeback(core, ev.addr);
-                }
-            }
-            // Fill from L2 and below.
-            self.traffic.l2_fill_bytes += LINE_BYTES as u64;
-            let (below, below_latency) = self.access_l2(core, line_addr, false);
-            (below, self.cfg.l1d.hit_latency + below_latency)
-        };
-
-        // Issue L1 prefetches after the demand completes. Indexed drain:
-        // the callee uses the L2 target buffer, never this one.
-        for i in 0..self.l1_targets.len() {
-            let target = self.l1_targets.as_slice()[i];
-            self.prefetch_into_l1(core, target);
-        }
-        (served, latency)
-    }
-
-    /// L2 demand access (from an L1 miss or writeback path).
-    fn access_l2(&mut self, core: usize, line_addr: u64, is_writeback: bool) -> (ServedBy, u32) {
-        // The L2 stream prefetcher trains on the L2 access stream —
-        // including accesses generated by ZCOMP micro-ops (§3.3).
-        self.l2_targets.clear();
-        let Self {
-            l2_pf, l2_targets, ..
-        } = self;
-        l2_pf[core].observe(line_addr, l2_targets);
-
-        let l2 = self.l2[core].access(line_addr, is_writeback, false);
-        if l2.first_demand_of_prefetch {
-            self.l2_pf[core].record_useful();
-            self.l2_pf[core].record_demand_miss();
-        }
-        let out = if l2.hit {
-            (ServedBy::L2, self.cfg.l2.hit_latency)
-        } else {
-            self.l2_pf[core].record_demand_miss();
-            if let Some(ev) = l2.evicted {
-                if ev.dirty {
-                    self.fill_l3_writeback(ev.addr);
-                }
-            }
-            self.traffic.l3_fill_bytes += LINE_BYTES as u64;
-            let (below, below_latency) = self.access_l3(core, line_addr, false);
-            (below, self.cfg.l2.hit_latency + below_latency)
-        };
-
-        for i in 0..self.l2_targets.len() {
-            let target = self.l2_targets.as_slice()[i];
-            self.prefetch_into_l2(core, target);
-        }
-        out
-    }
-
-    /// Shared L3 demand access.
-    fn access_l3(&mut self, core: usize, line_addr: u64, is_writeback: bool) -> (ServedBy, u32) {
-        let noc = self.mesh.l3_round_trip_faulted(core, line_addr);
-        let l3 = self.l3.access(line_addr, is_writeback, false);
-        if l3.hit {
-            (ServedBy::L3, self.cfg.l3.hit_latency + noc)
-        } else {
-            if let Some(ev) = l3.evicted {
-                if ev.dirty {
-                    self.dram.record_transfer(ev.addr, LINE_BYTES as u64);
-                    self.traffic.dram_bytes += LINE_BYTES as u64;
-                }
-            }
-            let dram_latency = self.dram.record_transfer(line_addr, LINE_BYTES as u64);
-            self.traffic.dram_bytes += LINE_BYTES as u64;
-            (ServedBy::Dram, self.cfg.l3.hit_latency + noc + dram_latency)
-        }
-    }
-
-    /// Dirty L1 line written back into L2.
-    fn fill_l2_writeback(&mut self, core: usize, line_addr: u64) {
-        self.traffic.l2_fill_bytes += LINE_BYTES as u64;
-        let l2 = self.l2[core].access(line_addr, true, false);
-        if !l2.hit {
-            if let Some(ev) = l2.evicted {
-                if ev.dirty {
-                    self.fill_l3_writeback(ev.addr);
-                }
-            }
-        }
-        // A writeback that misses L2 allocates there (NINE victim path);
-        // it does not fetch from below.
-    }
-
-    /// Dirty L2 line written back into L3.
-    fn fill_l3_writeback(&mut self, line_addr: u64) {
-        self.traffic.l3_fill_bytes += LINE_BYTES as u64;
-        let l3 = self.l3.access(line_addr, true, false);
-        if !l3.hit {
-            if let Some(ev) = l3.evicted {
-                if ev.dirty {
-                    self.dram.record_transfer(ev.addr, LINE_BYTES as u64);
-                    self.traffic.dram_bytes += LINE_BYTES as u64;
-                }
-            }
-        }
-    }
-
-    /// L1 prefetch: fills L1 (and L2 on the way) without counting demand
-    /// statistics. An L1-prefetch lookup that finds an L2-prefetched line
-    /// proves that L2 prefetch useful.
-    fn prefetch_into_l1(&mut self, core: usize, line_addr: u64) {
-        let Some(l1) = self.l1[core].fill_if_absent(line_addr) else {
-            return;
-        };
-        if let Some(ev) = l1.evicted {
-            if ev.dirty {
-                self.fill_l2_writeback(core, ev.addr);
-            }
-        }
-        self.traffic.l2_fill_bytes += LINE_BYTES as u64;
-        // The L2 prefetcher trains on every L2 request — L1 prefetches
-        // included — so an active L1 prefetcher does not starve it of the
-        // stream.
-        self.l2_targets.clear();
-        let Self {
-            l2_pf, l2_targets, ..
-        } = self;
-        l2_pf[core].observe(line_addr, l2_targets);
-
-        let l2 = self.l2[core].access(line_addr, false, true);
-        if l2.first_demand_of_prefetch {
-            self.l2_pf[core].record_useful();
-            self.l2_pf[core].record_demand_miss();
-        }
-        if !l2.hit {
-            // Without the L1 prefetch this would have been a demand miss:
-            // count it in the coverage baseline as uncovered.
-            self.l2_pf[core].record_demand_miss();
-            if let Some(ev) = l2.evicted {
-                if ev.dirty {
-                    self.fill_l3_writeback(ev.addr);
-                }
-            }
-            self.fetch_prefetch_fill(line_addr);
-        }
-        for i in 0..self.l2_targets.len() {
-            let target = self.l2_targets.as_slice()[i];
-            self.prefetch_into_l2(core, target);
-        }
-    }
-
-    /// L2 prefetch: fills L2 from L3/DRAM without counting demand
-    /// statistics.
-    fn prefetch_into_l2(&mut self, core: usize, line_addr: u64) {
-        let Some(l2) = self.l2[core].fill_if_absent(line_addr) else {
-            return;
-        };
-        if let Some(ev) = l2.evicted {
-            if ev.dirty {
-                self.fill_l3_writeback(ev.addr);
-            }
-        }
-        self.fetch_prefetch_fill(line_addr);
-    }
-
-    /// Pulls a prefetched line through L3 (from DRAM if absent).
-    fn fetch_prefetch_fill(&mut self, line_addr: u64) {
-        self.traffic.l3_fill_bytes += LINE_BYTES as u64;
-        // A single access serves both cases: a hit only touches L3
-        // recency, a miss fills the line from DRAM.
-        let l3 = self.l3.access(line_addr, false, true);
-        if !l3.hit {
-            if let Some(ev) = l3.evicted {
-                if ev.dirty {
-                    self.dram.record_transfer(ev.addr, LINE_BYTES as u64);
-                    self.traffic.dram_bytes += LINE_BYTES as u64;
-                }
-            }
-            self.dram.record_transfer(line_addr, LINE_BYTES as u64);
-            self.traffic.dram_bytes += LINE_BYTES as u64;
+    /// Borrows the parts the batch driver works on.
+    pub(crate) fn parts(&mut self) -> MemoryParts<'_> {
+        MemoryParts {
+            cores: &mut self.cores,
+            shared: &mut self.shared,
+            traffic: &mut self.traffic,
+            trace_tick: &mut self.trace_tick,
         }
     }
 }

@@ -20,7 +20,9 @@
 //!   granularity with full fill/writeback/prefetch traffic accounting.
 //! * [`core`] — the core timing model, a bulk-throughput roofline.
 //! * [`engine`] — [`engine::Machine`], the façade the workload kernels
-//!   drive instruction by instruction.
+//!   drive instruction by instruction; its batched path runs the cores'
+//!   private levels on free host threads ([`budget`]) and replays their
+//!   L3 requests in issue order.
 //!
 //! # Example
 //!
@@ -40,7 +42,9 @@
 //! assert_eq!(summary.traffic.core_read_bytes, 1024 * 64);
 //! ```
 
+mod batch;
 pub mod bitset;
+pub mod budget;
 pub mod cache;
 pub mod config;
 pub mod core;
