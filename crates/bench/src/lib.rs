@@ -247,9 +247,9 @@ impl Args {
     }
 }
 
-/// Runs `sweep` serially and uncached, as the smoke gate and the tracer
-/// do, and returns its result. A quarantined cell prints the supervision
-/// report and exits 3.
+/// Runs `sweep` serially and uncached, as the tracer does, and returns
+/// its result. A quarantined cell prints the supervision report and
+/// exits 3.
 pub fn run_serial<R>(sweep: impl FnOnce(&SweepOpts) -> Result<SweepOutcome<R>, SweepError>) -> R {
     // An uncached serial sweep has no journal, the only source of a
     // `SweepError`.
@@ -418,14 +418,14 @@ mod tests {
 
     #[test]
     fn a_binarys_own_flags_parse_around_the_shared_ones() {
-        let own = ["--smoke", "--chaos"];
+        let own = ["--chaos"];
         let (a, given) = Args::parse_with(
             ["--threads", "2", "--chaos", "--quick"].map(String::from),
             Flags::Cached,
             own,
         )
         .unwrap();
-        assert_eq!(given, [false, true]);
+        assert_eq!(given, [true]);
         assert_eq!((a.threads, a.scale), (2, 64));
         let e = parse(&["--chaos"], Flags::Cached).unwrap_err();
         assert!(e.to_string().contains("unknown argument"), "{e}");
@@ -434,9 +434,6 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(e.contains("unknown argument: --bench"), "{e}");
-        assert!(
-            e.contains("--threads") && e.contains("--smoke") && e.contains("--chaos"),
-            "{e}"
-        );
+        assert!(e.contains("--threads") && e.contains("--chaos"), "{e}");
     }
 }

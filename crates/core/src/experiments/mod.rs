@@ -5,7 +5,6 @@
 //! and EXPERIMENTS.md are generated from the same code the tests check.
 
 pub mod ablations;
-pub mod epoch;
 pub mod fault_campaign;
 pub mod fig01;
 pub mod fig02;
@@ -15,5 +14,3 @@ pub mod fig15;
 pub mod fullnet;
 pub mod serve;
 pub mod serve_chaos;
-pub mod sweeps;
-pub mod thread_sweep;

@@ -79,9 +79,10 @@ impl ServeGridSpec {
         }
     }
 
-    /// CI smoke grid: GoogLeNet only, two tenants, one drift epoch,
-    /// shorter traces and a coarser bisection. Still a real knee search
-    /// on the real simulator.
+    /// Smoke grid: GoogLeNet only, two tenants, one drift epoch, shorter
+    /// traces and a coarser bisection. Still a real knee search on the
+    /// real simulator; the `perfbench` `serve_knee` workload starts from
+    /// its parameters.
     pub fn smoke_grid() -> Self {
         ServeGridSpec {
             networks: vec![(ModelId::Googlenet, 8)],
@@ -301,9 +302,9 @@ mod tests {
 
     /// A cheap real-simulator grid: ResNet-32 maps are tiny, so the
     /// service-time sims run in milliseconds. (The default grid's
-    /// compressed>uncompressed claim is asserted by `serve_run --smoke`
-    /// on GoogLeNet, not here — ResNet-32 is deliberately the network
-    /// where compression does *not* pay.)
+    /// compressed>uncompressed claim is asserted on the committed record
+    /// by `committed_record_keeps_the_knee_claim`, not here — ResNet-32
+    /// is deliberately the network where compression does *not* pay.)
     fn tiny_grid() -> ServeGridSpec {
         ServeGridSpec {
             networks: vec![(ModelId::Resnet32, 4)],
@@ -418,6 +419,19 @@ mod tests {
             ),
             (cells, 0)
         );
+    }
+
+    /// The claim EXPERIMENTS makes of the committed `results/serve.json`,
+    /// which the records test regenerates and `cmp`s, so this reads the
+    /// code's own output: no cell was quarantined, and the compressed knee
+    /// is strictly above the uncompressed one on every network.
+    #[test]
+    fn committed_record_keeps_the_knee_claim() {
+        let r: ServeResult = serde_json::from_str(include_str!("../../../../results/serve.json"))
+            .expect("the committed serving record parses");
+        assert!(r.quarantined.is_empty(), "{:?}", r.quarantined);
+        assert_eq!(r.rows.len(), ServeGridSpec::default_grid().networks.len());
+        assert!(r.all_compressed_higher(), "{}", r.table().render());
     }
 
     #[test]

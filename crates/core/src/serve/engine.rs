@@ -668,7 +668,6 @@ mod tests {
 
     use super::super::admission::AdmissionConfig;
     use super::super::chaos::ChaosConfig;
-    use super::super::determinism::require_byte_identical;
     use super::super::service::ServiceProfile;
     use super::super::TenantSpec;
     use super::*;
@@ -741,7 +740,11 @@ mod tests {
         let (_, mut s2) = test_cfg(2, 4);
         let a = simulate(&cfg, &mut s1, 900.0);
         let b = simulate(&cfg, &mut s2, 900.0);
-        require_byte_identical(&a, &b).expect("same seed must replay byte-identically");
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap(),
+            "same seed must replay byte-identically"
+        );
     }
 
     #[test]
@@ -933,7 +936,11 @@ mod tests {
         let (_, mut s2) = mk();
         let a = simulate(&cfg, &mut s1, 1_200.0);
         let b = simulate(&cfg, &mut s2, 1_200.0);
-        require_byte_identical(&a, &b).expect("chaos runs must replay byte-identically");
+        assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap(),
+            "chaos runs must replay byte-identically"
+        );
         assert!(a.crashes > 0 && a.codec_faults > 0, "chaos actually ran");
     }
 
@@ -1086,7 +1093,11 @@ mod tests {
         let (_, mut s2) = test_cfg(2, 4);
         let plain = simulate(&cfg, &mut s1, 900.0);
         let (audited, audits) = simulate_audited(&cfg, &mut s2, 900.0);
-        require_byte_identical(&plain, &audited).expect("audit must not perturb the simulation");
+        assert_eq!(
+            serde_json::to_string(&plain).unwrap(),
+            serde_json::to_string(&audited).unwrap(),
+            "audit must not perturb the simulation"
+        );
         assert_eq!(audits.len() as u64, plain.batches);
     }
 }

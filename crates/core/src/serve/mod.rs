@@ -33,8 +33,6 @@
 //!   class-bounded queues, and the deadline-aware shedder policy.
 //! * [`chaos`] — seeded instance crash/recovery schedules plus codec
 //!   faults resolved through the PR-1 retry-then-uncompressed policy.
-//! * [`determinism`] — non-panicking byte-identity self-checks for the
-//!   "same seed ⇒ same report" invariant.
 //!
 //! The grid experiments on top live in [`crate::experiments::serve`] and
 //! [`crate::experiments::serve_chaos`]; the CLI driver is the `serve_run`
@@ -43,7 +41,6 @@
 pub mod admission;
 pub mod arrival;
 pub mod chaos;
-pub mod determinism;
 pub mod engine;
 pub mod knee;
 pub mod service;

@@ -27,7 +27,6 @@
 //! assert_eq!(profile.per_layer.len(), net.layers.len());
 //! ```
 
-pub mod dataset;
 pub mod deepbench;
 pub mod layer;
 pub mod models;

@@ -623,6 +623,62 @@ mod tests {
     }
 
     #[test]
+    fn zcomp_gain_grows_with_sparsity() {
+        // 8 MB keeps the steady-state iterations bandwidth-bound (smaller
+        // maps become launch-overhead-dominated and the speedups tie).
+        let run = |scheme, sparsity| {
+            let nnz = nnz_synthetic(2 << 20, sparsity, 6.0, 0x5EE9);
+            let mut m = machine();
+            let cycles = run_relu(&mut m, scheme, &nnz, &ReluOpts::default()).total_cycles();
+            (cycles, m.summary().traffic.core_bytes() as f64)
+        };
+        // (speedup over avx512-vec, core-traffic reduction) at a sparsity.
+        let gain = |sparsity| {
+            let (base_cycles, base_traffic) = run(ReluScheme::Avx512Vec, sparsity);
+            let (zcomp_cycles, zcomp_traffic) = run(ReluScheme::Zcomp, sparsity);
+            (
+                base_cycles / zcomp_cycles,
+                1.0 - zcomp_traffic / base_traffic,
+            )
+        };
+        let (sparse, dense) = (gain(0.9), gain(0.1));
+        assert!(
+            sparse.0 > dense.0,
+            "speedup s=0.9 {sparse:?} vs s=0.1 {dense:?}"
+        );
+        assert!(
+            sparse.1 > dense.1,
+            "traffic cut s=0.9 {sparse:?} vs s=0.1 {dense:?}"
+        );
+    }
+
+    #[test]
+    fn more_threads_never_slower() {
+        let nnz = nnz_synthetic(256 * 1024, 0.53, 6.0, 0x7123);
+        for scheme in [
+            ReluScheme::Avx512Vec,
+            ReluScheme::Avx512Comp,
+            ReluScheme::Zcomp,
+        ] {
+            let cycles =
+                |threads| run_relu(&mut machine(), scheme, &nnz, &opts(threads)).total_cycles();
+            let (c1, c4, c16) = (cycles(1), cycles(4), cycles(16));
+            assert!(c4 <= c1, "{scheme}: 4t {c4} vs 1t {c1}");
+            assert!(c16 <= c4, "{scheme}: 16t {c16} vs 4t {c4}");
+        }
+    }
+
+    #[test]
+    fn cache_resident_work_scales_well() {
+        let nnz = nnz_synthetic(256 * 1024, 0.53, 6.0, 0x7123);
+        let cycles = |threads| {
+            run_relu(&mut machine(), ReluScheme::Zcomp, &nnz, &opts(threads)).total_cycles()
+        };
+        let scaling = cycles(1) / cycles(8);
+        assert!(scaling > 3.0, "zcomp 8-thread scaling {scaling}");
+    }
+
+    #[test]
     fn serialized_parallelization_is_slower() {
         let nnz = nnz_synthetic(64 * 1024, 0.53, 6.0, 6);
         let time = |par| {

@@ -8,6 +8,8 @@ use zcomp::experiments::fullnet::FullNetResult;
 use zcomp::experiments::{ablations, fig02, fig03, fig12, fig15, fullnet};
 use zcomp::sweep::SweepOpts;
 use zcomp_dnn::deepbench::{suite_configs, DeepBenchConfig, Suite};
+use zcomp_dnn::models::ModelId;
+use zcomp_dnn::training::training_footprint;
 use zcomp_kernels::layer_exec::Scheme;
 use zcomp_kernels::relu::ReluScheme;
 
@@ -170,6 +172,28 @@ fn footprints_are_feature_map_dominated() {
         .sum::<f64>()
         / result.rows.len() as f64;
     assert!(avg > 0.40, "average feature-map share {avg}");
+}
+
+/// §2.3: "the use of larger batch sizes will cause further increases in
+/// the feature map footprint relative to the weight footprint", on the
+/// FC-heavy network where it is most visible.
+#[test]
+fn feature_map_share_grows_with_batch() {
+    let shares = [1, 16, 64, 256]
+        .map(|batch| training_footprint(&ModelId::Alexnet.build(batch)).feature_map_fraction());
+    assert!(
+        shares.windows(2).all(|w| w[1] > w[0]),
+        "shares must increase: {shares:?}"
+    );
+}
+
+/// §2.3's premise: weights are batch-independent, feature maps are not.
+#[test]
+fn weights_are_batch_independent() {
+    let one = training_footprint(&ModelId::Vgg16.build(1));
+    let eight = training_footprint(&ModelId::Vgg16.build(8));
+    assert_eq!(one.weights_bytes, eight.weights_bytes);
+    assert!(eight.feature_maps_bytes > one.feature_maps_bytes);
 }
 
 /// §4.1: the interleaved header fits the original allocation exactly when
