@@ -4,8 +4,7 @@
 //! trace_run <fig12|fullnet> [--scale N] [--out-dir DIR]
 //! ```
 //!
-//! Produces, under `--out-dir` (default `results/`; `--out` is accepted
-//! as an alias for compatibility with earlier invocations):
+//! Produces, under `--out-dir` (default `results/`):
 //!
 //! * `trace_<exp>.json` — Chrome `trace_event` JSON, loadable in
 //!   Perfetto / `chrome://tracing`;
@@ -51,7 +50,7 @@ fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Args {
                     usage_exit("--scale must be >= 1");
                 }
             }
-            "--out-dir" | "--out" => {
+            "--out-dir" => {
                 out_dir = it
                     .next()
                     .unwrap_or_else(|| usage_exit("--out-dir needs a path"));

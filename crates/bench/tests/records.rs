@@ -5,7 +5,7 @@
 //! stdout is the record and `--json FILE` when it writes one itself. This
 //! test first checks that the manifest and the tree agree, then runs every
 //! line in an empty directory and compares each file it names with the
-//! committed one. It takes about five minutes on a 2-vCPU host, so it is
+//! committed one. It takes about six minutes on a 2-vCPU host, so it is
 //! ignored by default:
 //!
 //! ```text
@@ -161,7 +161,7 @@ fn first_differing_line(a: &[u8], b: &[u8]) -> usize {
 }
 
 #[test]
-#[ignore = "regenerates every record under results/ (about 5 min); run with --ignored"]
+#[ignore = "regenerates every record under results/ (about 6 min); run with --ignored"]
 fn every_committed_record_regenerates_byte_for_byte() {
     let root = repo_root();
     let results = root.join("results");

@@ -7,7 +7,6 @@
 pub mod ablations;
 pub mod fault_campaign;
 pub mod fig01;
-pub mod fig02;
 pub mod fig03;
 pub mod fig12;
 pub mod fig15;

@@ -8,10 +8,9 @@
 //! |---|---|
 //! | Table 1 (machine) | [`zcomp_sim::config::SimConfig::table1`] |
 //! | Fig. 1 (VGG-16 sparsity & footprints) | [`experiments::fig01`] |
-//! | Fig. 2 (cycle breakdown) | [`experiments::fig02`] |
 //! | Fig. 3 (data-structure footprints) | [`experiments::fig03`] |
 //! | Fig. 12 (DeepBench ReLU study) | [`experiments::fig12`] |
-//! | Fig. 13/14 (full networks) | [`experiments::fullnet`] |
+//! | Fig. 2/13/14 (cycle breakdown, full networks) | [`experiments::fullnet`] |
 //! | Fig. 15 (vs cache compression) | [`experiments::fig15`] |
 //! | §3.3/§4.1/§4.3 ablations | [`experiments::ablations`] |
 //!
